@@ -14,9 +14,7 @@
 #pragma once
 
 #include <cstdio>
-#include <fstream>
 #include <map>
-#include <sstream>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -80,33 +78,8 @@ inline std::string json_escape(const std::string& text) {
   return out;
 }
 
-/// Extracts the raw `"pre_change_baseline": { ... }` block from an existing
-/// baseline file, so refreshing the benchmarks section never discards the
-/// historical record (the whole point of committing it). Returns "" when
-/// the file or section does not exist.
-inline std::string read_preserved_baseline(const std::string& path) {
-  std::ifstream in(path);
-  if (!in) return "";
-  std::stringstream buffer;
-  buffer << in.rdbuf();
-  const std::string text = buffer.str();
-  const std::size_t key = text.find("\"pre_change_baseline\"");
-  if (key == std::string::npos) return "";
-  const std::size_t open = text.find('{', key);
-  if (open == std::string::npos) return "";
-  int depth = 0;
-  for (std::size_t pos = open; pos < text.size(); ++pos) {
-    if (text[pos] == '{') ++depth;
-    if (text[pos] == '}' && --depth == 0)
-      return text.substr(key, pos + 1 - key);
-  }
-  return "";
-}
-
-/// Writes { "schema": 1, "unit": "ns/op", "benchmarks": { name: ns, ... } },
-/// carrying over an existing pre_change_baseline section verbatim.
+/// Writes { "schema": 1, "unit": "ns/op", "benchmarks": { name: ns, ... } }.
 inline void write_json(const std::string& path, const std::map<std::string, double>& results) {
-  const std::string preserved = read_preserved_baseline(path);
   std::FILE* file = std::fopen(path.c_str(), "w");
   if (file == nullptr) throw std::runtime_error("bench_json: cannot open " + path);
   std::fprintf(file, "{\n  \"schema\": 1,\n  \"unit\": \"ns/op\",\n  \"benchmarks\": {\n");
@@ -115,11 +88,7 @@ inline void write_json(const std::string& path, const std::map<std::string, doub
     std::fprintf(file, "    \"%s\": %.2f%s\n", json_escape(name).c_str(), ns,
                  ++index < results.size() ? "," : "");
   }
-  if (preserved.empty()) {
-    std::fprintf(file, "  }\n}\n");
-  } else {
-    std::fprintf(file, "  },\n  %s\n}\n", preserved.c_str());
-  }
+  std::fprintf(file, "  }\n}\n");
   std::fclose(file);
 }
 

@@ -74,9 +74,9 @@ void BM_FilteredCompareFastPath(benchmark::State& state) {
 BENCHMARK(BM_FilteredCompareFastPath);
 
 void BM_FilteredCompareNearTie(benchmark::State& state) {
-  // Values whose 2-ulp intervals overlap but whose mantissas still fit two
-  // limbs: the comparison escalates to the Dyadic128 tier (filter.limb2_hits)
-  // and is settled there without touching Rational.
+  // Values whose 2-ulp intervals overlap but whose mantissas fit 127 bits:
+  // the comparison escalates to Rational's inline dyadic tier
+  // (filter.limb2_hits) and is settled there without touching BigInt.
   using aurv::numeric::Filtered;
   const Filtered a(Rational::pow2(60) + Rational::dyadic(3, 60));
   const Filtered b(Rational::pow2(60) + Rational::dyadic(5, 61));
@@ -88,9 +88,9 @@ BENCHMARK(BM_FilteredCompareNearTie);
 
 void BM_FilteredAddHuge(benchmark::State& state) {
   // The same phase-5 worst case as BM_RationalAddHuge pushed through the
-  // filtered kernel: the 383-bit numerator overflows Dyadic128, so this
-  // measures the escaped tier — Rational arithmetic plus the interval
-  // rebuild. The overhead ceiling of the ladder.
+  // filtered kernel: the 383-bit numerator is past Rational's 127-bit
+  // inline mantissa, so this measures the big tier — BigInt arithmetic
+  // plus the interval rebuild. The overhead ceiling of the ladder.
   using aurv::numeric::Filtered;
   const Filtered a(Rational::pow2(375) + Rational::dyadic(3, 7));
   const Filtered b(Rational::dyadic(5, 9));
@@ -104,8 +104,8 @@ BENCHMARK(BM_FilteredAddHuge);
 
 void BM_FilteredAddModerate(benchmark::State& state) {
   // Moderate-phase event times (the BatchSweepThousand regime): mantissas
-  // stay within two limbs, so accumulation runs entirely in the Dyadic128
-  // tier — the case the engine's += leans on.
+  // stay within 127 bits, so accumulation runs entirely in Rational's
+  // inline dyadic tier — the case the engine's += leans on.
   using aurv::numeric::Filtered;
   const Filtered a(Rational::pow2(60) + Rational::dyadic(3, 7));
   const Filtered b(Rational::dyadic(5, 9));
@@ -218,32 +218,13 @@ void BM_BatchSweepThousand(benchmark::State& state) {
 }
 BENCHMARK(BM_BatchSweepThousand)->Unit(benchmark::kMillisecond);
 
-void BM_EngineEventThroughput(benchmark::State& state) {
-  // A never-meeting symmetric instance driven by the full Algorithm 1:
-  // measures end-to-end events/second of the exact-time engine.
-  const aurv::agents::Instance instance =
-      aurv::agents::Instance::synchronous(0.25, {500.0, 0.0}, 0.0, 0, 1);
-  std::uint64_t events = 0;
-  for (auto _ : state) {
-    aurv::sim::EngineConfig config;
-    config.max_events = static_cast<std::uint64_t>(state.range(0));
-    const aurv::sim::SimResult result =
-        aurv::sim::Engine(instance, config)
-            .run([] { return aurv::core::almost_universal_rv(); });
-    events += result.events;
-    benchmark::DoNotOptimize(result);
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(events));
-}
-BENCHMARK(BM_EngineEventThroughput)->Arg(10'000)->Arg(100'000);
-
 void BM_FilteredEngineThroughput(benchmark::State& state) {
-  // The filtered-kernel acceptance workload: the same never-meeting
-  // Algorithm 1 drive as BM_EngineEventThroughput, with the numeric ladder
-  // pinned to the requested mode — 0 = full filter (interval + Dyadic128
-  // tiers live), 1 = exact-rational-only (every operation and comparison
-  // forced to the Rational authority, as under AURV_EXACT_ONLY=1). The
-  // ratio of the /1 row to the /0 row is the filter's measured speedup on
+  // End-to-end events/second of the exact-time engine: a never-meeting
+  // symmetric instance driven by the full Algorithm 1, with the numeric
+  // ladder pinned to the requested mode — 0 = full filter (interval and
+  // inline-dyadic tiers live), 1 = exact-only (every comparison decided by
+  // the full Rational comparison, as under AURV_EXACT_ONLY=1). The ratio
+  // of the /1 row to the /0 row is the filter's measured speedup on
   // identical work; results are byte-identical by the soundness contract.
   const bool exact_only = state.range(1) != 0;
   aurv::numeric::set_filter_exact_only(exact_only);

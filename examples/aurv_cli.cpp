@@ -1,13 +1,11 @@
 // aurv_cli — command-line driver for the library: classify instances, run
 // any of the implemented algorithms on them, or build adversarial boundary
-// instances, without writing C++.
+// instances, without writing C++. Scenario sweeps (campaigns, censuses,
+// searches) are `aurv_sweep`'s job.
 //
 //   aurv_cli classify  r x y phi tau v t chi
 //   aurv_cli run       r x y phi tau v t chi [algorithm] [max_events]
 //   aurv_cli adversary s1|s2 [algorithm]
-//   aurv_cli sweep     scenario.json [threads] [--threads N] [--quiet]
-//                      [--progress [SECS]] [--metrics-out PATH]
-//                      [--trace-out PATH] [--status-port PORT]
 //
 //   algorithms: aurv (default) | latecomers | cgkk | cgkk-ext |
 //               wait-and-search | boundary | recommended
@@ -19,32 +17,16 @@
 //   aurv_cli run 1 2 0.6 0 1 1 3/2 -1          # type-1 rendezvous via AURV
 //   aurv_cli run 1 3 4 0 1 1 4 1 boundary      # dedicated S1 algorithm
 //   aurv_cli adversary s2 latecomers           # defeat Latecomers on S2
-//   aurv_cli sweep scenarios/smoke_type2.json  # campaign, summary on stdout
-//
-// `sweep` is a thin alias for `aurv_sweep run` (which has the full option
-// set: JSONL records, checkpoints, resume) sharing its observability
-// surface: `--progress` heartbeats, `--metrics-out` snapshots,
-// `--trace-out` Chrome-trace spans and the `--status-port` embedded HTTP
-// status server (see EXPERIMENTS.md, "Watching a live run").
-#include <chrono>
 #include <cstdio>
 #include <cstring>
-#include <optional>
 #include <string>
 
 #include "algo/boundary.hpp"
 #include "core/adversary.hpp"
 #include "core/feasibility.hpp"
-#include "driver_telemetry.hpp"
 #include "exp/registry.hpp"
-#include "exp/runner.hpp"
-#include "exp/scenario.hpp"
-#include "gatherx/census.hpp"
-#include "gatherx/scenario.hpp"
 #include "sim/engine.hpp"
-#include "support/jsonl.hpp"
 #include "support/parse.hpp"
-#include "support/telemetry.hpp"
 
 namespace {
 
@@ -56,12 +38,9 @@ int usage(const char* argv0) {
                "  %s classify  r x y phi tau v t chi\n"
                "  %s run       r x y phi tau v t chi [algorithm] [max_events]\n"
                "  %s adversary s1|s2 [algorithm]\n"
-               "  %s sweep     scenario.json [threads] [--threads N] [--quiet]\n"
-               "               [--progress [SECS]] [--metrics-out PATH] [--trace-out PATH]\n"
-               "               [--status-port PORT]\n"
                "algorithms: aurv | latecomers | cgkk | cgkk-ext | wait-and-search |"
                " boundary | recommended\n",
-               argv0, argv0, argv0, argv0);
+               argv0, argv0, argv0);
   return 2;
 }
 
@@ -152,92 +131,6 @@ int cmd_adversary(int argc, char** argv) {
   return 0;
 }
 
-int cmd_sweep(int argc, char** argv) {
-  if (argc < 1) return usage("aurv_cli");
-  namespace telemetry = support::telemetry;
-  const auto started = std::chrono::steady_clock::now();
-  const std::string spec_path = argv[0];
-  exp::CampaignOptions options;
-  driver::TelemetryCli telemetry_cli;
-  bool quiet = false;
-
-  for (int k = 1; k < argc; ++k) {
-    const std::string flag = argv[k];
-    if (flag == "--threads") {
-      if (k + 1 >= argc) throw std::invalid_argument("--threads needs a value");
-      options.threads = support::parse_uint(argv[++k], "--threads");
-    } else if (flag == "--quiet") {
-      quiet = true;
-    } else if (telemetry_cli.parse(flag, k, argc, argv)) {
-    } else if (k == 1 && flag[0] != '-') {
-      // Pre-flag spelling: a bare thread count right after the scenario.
-      options.threads = support::parse_uint(argv[k], "threads");
-    } else {
-      std::fprintf(stderr, "unknown option: %s\n", flag.c_str());
-      return usage("aurv_cli");
-    }
-  }
-
-  telemetry_cli.open_trace();
-
-  // Same kind dispatch as aurv_sweep run: a gather-census spec drives the
-  // gathering census runner, anything else the two-agent campaign runner.
-  // One load + parse; path context is added to either kind's parse error.
-  try {
-    const auto finish = [&](const char* kind, std::uint64_t fingerprint) {
-      telemetry_cli.close_trace(quiet);
-      telemetry::RunManifest manifest;
-      manifest.kind = kind;
-      manifest.spec_path = spec_path;
-      manifest.fingerprint = support::fingerprint_hex(fingerprint);
-      manifest.threads = driver::resolved_threads(options.threads);
-      telemetry_cli.write_metrics(manifest, driver::wall_ms_since(started), quiet);
-    };
-    support::Json spec_json;
-    {
-      const support::trace::Span span("load", "phase",
-                                      support::trace::Span::Options{.announce = true});
-      spec_json = support::Json::load_file(spec_path);
-    }
-    if (spec_json.string_or("kind", "") == "gather-census") {
-      const gatherx::GatherScenarioSpec spec = gatherx::GatherScenarioSpec::from_json(spec_json);
-      std::optional<telemetry::Heartbeat> heartbeat =
-          telemetry_cli.start_heartbeat("gather-census", spec_path);
-      const auto statusd = telemetry_cli.start_statusd(
-          "gather-census", spec_path, support::fingerprint_hex(spec.fingerprint()),
-          driver::resolved_threads(options.threads));
-      std::optional<gatherx::CensusResult> run;
-      {
-        const support::trace::Span span("run", "phase",
-                                        support::trace::Span::Options{.announce = true});
-        run.emplace(gatherx::run_census(spec, options));
-      }
-      if (heartbeat.has_value()) heartbeat->stop();
-      std::printf("%s", run->summary(spec).dump(2).c_str());
-      finish("gather-census", spec.fingerprint());
-      return 0;
-    }
-    const exp::ScenarioSpec spec = exp::ScenarioSpec::from_json(spec_json);
-    std::optional<telemetry::Heartbeat> heartbeat =
-        telemetry_cli.start_heartbeat("campaign", spec_path);
-    const auto statusd = telemetry_cli.start_statusd(
-        "campaign", spec_path, support::fingerprint_hex(spec.fingerprint()),
-        driver::resolved_threads(options.threads));
-    std::optional<exp::CampaignResult> run;
-    {
-      const support::trace::Span span("run", "phase",
-                                      support::trace::Span::Options{.announce = true});
-      run.emplace(exp::run_campaign(spec, options));
-    }
-    if (heartbeat.has_value()) heartbeat->stop();
-    std::printf("%s", run->summary(spec).dump(2).c_str());
-    finish("campaign", spec.fingerprint());
-    return 0;
-  } catch (const std::invalid_argument& error) {
-    throw std::invalid_argument(spec_path + ": " + error.what());
-  }
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -246,7 +139,6 @@ int main(int argc, char** argv) {
     if (std::strcmp(argv[1], "classify") == 0) return cmd_classify(argc - 2, argv + 2);
     if (std::strcmp(argv[1], "run") == 0) return cmd_run(argc - 2, argv + 2);
     if (std::strcmp(argv[1], "adversary") == 0) return cmd_adversary(argc - 2, argv + 2);
-    if (std::strcmp(argv[1], "sweep") == 0) return cmd_sweep(argc - 2, argv + 2);
   } catch (const std::exception& error) {
     std::fprintf(stderr, "error: %s\n", error.what());
     return 3;

@@ -1,5 +1,5 @@
-// The observability invocation surface shared by the example drivers
-// (aurv_sweep, aurv_cli sweep): flag parsing and lifecycle for the
+// The observability invocation surface of the aurv_sweep driver's `run`
+// and `search` commands: flag parsing and lifecycle for the
 // heartbeat (`--progress [SECS]`), the end-of-run metrics snapshot
 // (`--metrics-out PATH`), the Chrome-trace span stream
 // (`--trace-out PATH`) and the embedded HTTP status server
@@ -32,7 +32,7 @@ namespace aurv::driver {
 
 namespace telemetry = support::telemetry;
 
-/// The telemetry flags shared by `run`, `search` and `aurv_cli sweep`:
+/// The telemetry flags shared by `run` and `search`:
 /// `--progress[=secs]` turns on the heartbeat (one JSON line on stderr
 /// every N seconds; bare flag = 10 s, 0 = off; each line carries the
 /// active phase/span name), `--metrics-out PATH` writes the end-of-run

@@ -28,13 +28,6 @@ Subcommands:
         with a diagnostic on the first violation. Used by the CI
         metrics-smoke job.
 
-    python3 scripts/metrics_report.py prom metrics.json
-        Render the snapshot as Prometheus text exposition format 0.0.4 —
-        the exact format the embedded status server's /metrics endpoint
-        serves (support/statusd.cpp render_prometheus; keep the two in
-        lockstep), so offline snapshots and live scrapes diff cleanly.
-        wall_ms maps to aurv_uptime_seconds.
-
 Stdlib-only on purpose: the validator is a hand-rolled checker driven by
 the committed schema file, not a jsonschema dependency.
 """
@@ -199,74 +192,6 @@ def show(path: str) -> None:
 
 
 # ---------------------------------------------------------------------------
-# prom (Prometheus text exposition — mirror of statusd.cpp render_prometheus)
-# ---------------------------------------------------------------------------
-
-
-def prom_name(name: str) -> str:
-    """aurv_ prefix, dots and dashes flattened to the legal name alphabet."""
-    return "aurv_" + name.replace(".", "_").replace("-", "_")
-
-
-def prom_escape(value: str) -> str:
-    return value.replace("\\", "\\\\").replace('"', '\\"').replace("\n", "\\n")
-
-
-def prom_bucket_le(lower: int) -> str:
-    """Inclusive upper bound of the log2 bucket whose lower bound is `lower`:
-    bucket [2^(k-1), 2^k) ends at 2*lower - 1; the zero bucket holds only 0."""
-    return "0" if lower == 0 else str(2 * lower - 1)
-
-
-def prom(path: str) -> None:
-    snapshot = load(path)
-    run = snapshot.get("run", {})
-    lines = []
-    lines.append("# TYPE aurv_run_info gauge")
-    lines.append(
-        'aurv_run_info{{kind="{}",spec="{}",fingerprint="{}",threads="{}"}} 1'.format(
-            prom_escape(str(run.get("kind", ""))),
-            prom_escape(str(run.get("spec", ""))),
-            prom_escape(str(run.get("fingerprint", ""))),
-            run.get("threads", 0)))
-    lines.append("# TYPE aurv_uptime_seconds gauge")
-    lines.append(f"aurv_uptime_seconds {snapshot.get('wall_ms', 0) / 1000.0:.9f}")
-
-    counters = snapshot.get("counters", {})
-    for name in sorted(counters):
-        metric = prom_name(name) + "_total"
-        lines.append(f"# TYPE {metric} counter")
-        lines.append(f"{metric} {counters[name]}")
-    gauges = snapshot.get("gauges", {})
-    for name in sorted(gauges):
-        metric = prom_name(name)
-        lines.append(f"# TYPE {metric} gauge")
-        lines.append(f"{metric} {gauges[name]}")
-    histograms = snapshot.get("histograms", {})
-    for name in sorted(histograms):
-        metric = prom_name(name)
-        entry = histograms[name]
-        lines.append(f"# TYPE {metric} histogram")
-        cumulative = 0
-        for lower in sorted(entry.get("buckets", {}), key=int):
-            cumulative += entry["buckets"][lower]
-            lines.append(f'{metric}_bucket{{le="{prom_bucket_le(int(lower))}"}} {cumulative}')
-        lines.append(f'{metric}_bucket{{le="+Inf"}} {entry["count"]}')
-        lines.append(f"{metric}_sum {entry['sum']}")
-        lines.append(f"{metric}_count {entry['count']}")
-    timers = snapshot.get("timers", {})
-    for name in sorted(timers):
-        entry = timers[name]
-        seconds = prom_name(name) + "_seconds_total"
-        lines.append(f"# TYPE {seconds} counter")
-        lines.append(f"{seconds} {entry['ns'] / 1e9:.9f}")
-        spans = prom_name(name) + "_spans_total"
-        lines.append(f"# TYPE {spans} counter")
-        lines.append(f"{spans} {entry['count']}")
-    sys.stdout.write("\n".join(lines) + "\n")
-
-
-# ---------------------------------------------------------------------------
 # diff
 # ---------------------------------------------------------------------------
 
@@ -364,8 +289,6 @@ def main() -> None:
     elif command == "validate" and len(arguments) == 1:
         validate(arguments[0])
         print(f"{arguments[0]}: valid metrics-snapshot (schema 1)")
-    elif command == "prom" and len(arguments) == 1:
-        prom(arguments[0])
     else:
         raise SystemExit(__doc__)
 

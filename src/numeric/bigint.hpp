@@ -5,13 +5,15 @@
 // that is 2^60 absolute time units, beyond the contiguous integer range of
 // IEEE double (2^53), and at phase 6 it is 2^540. Rendezvous, however, is
 // decided by sub-unit differences between event times, so simulated time
-// must be *exact*. BigInt underlies numeric::Rational, the exact time type.
+// must be *exact*. BigInt underlies the big tier of numeric::Rational, the
+// exact time type: non-dyadic values and dyadics too wide for Rational's
+// inline 128-bit mantissa.
 //
 // Representation: sign/magnitude, little-endian 64-bit limbs, no leading
 // zero limbs, zero is { sign = 0, limbs empty }. Limbs live in a
-// small-buffer-optimized vector (LimbVec): values up to 128 bits — the
-// overwhelming majority of intermediates once Rational has peeled off its
-// int64 fast tier — are stored inline and never touch the heap.
+// small-buffer-optimized vector (LimbVec): values up to 128 bits — small
+// fractions, and Rational's inline operands lifted into a mixed-tier
+// operation — are stored inline and never touch the heap.
 #pragma once
 
 #include <compare>
@@ -236,9 +238,8 @@ class BigInt {
   [[nodiscard]] double to_double() const noexcept;
 
   /// |*this| >> shift when that fits in an unsigned 128-bit word, reading
-  /// the limbs directly — no temporary, no allocation. Used by the filtered
-  /// numeric kernel to lift big-tier dyadic values into its fixed-width
-  /// two-limb tier (numeric/filter.hpp) without touching the heap.
+  /// the limbs directly — no temporary, no allocation. Used by Rational to
+  /// bring a dyadic result back into its inline 128-bit tier.
   [[nodiscard]] std::optional<unsigned __int128> magnitude_shifted(
       std::uint64_t shift) const noexcept;
 

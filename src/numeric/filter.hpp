@@ -10,24 +10,22 @@
 //      (Dekker/Knuth error terms pick the rounding direction; no FPU
 //      rounding-mode changes). If two intervals do not overlap, the
 //      comparison is *certified* and costs a couple of flops.
-//   2. Dyadic128 — a fixed-width two-limb dyadic value m * 2^s with an
-//      __int128 mantissa. Exact add/multiply/compare as long as mantissas
-//      fit 127 bits; overflow is detected and escapes. This tier decides
-//      the near-ties the interval cannot.
-//   3. Rational — the existing exact tier, the final authority.
+//   2. Rational's inline tier — when both values are dyadics with at most
+//      127 significant bits (numeric/rational.hpp), the exact comparison
+//      is one 128-bit integer compare. This tier decides the near-ties the
+//      interval cannot.
+//   3. Rational's big tier — BigInt fractions, the final authority.
+//
+// A Filtered value is a Rational plus its enclosure; the exact value is
+// always held, so tiers 2 and 3 are the same object and a decision only
+// chooses how much of it to look at.
 //
 // Soundness contract: a tier may only answer when its answer provably
-// equals the exact one (non-overlapping intervals, non-overflowing exact
-// integer arithmetic). Escapes change cost, never results — golden
-// artifacts stay bit-identical whichever tier decided each comparison,
-// and `AURV_EXACT_ONLY=1` (or set_filter_exact_only) forces every decision
-// to the Rational tier to prove it.
-//
-// Bit-exactness: Filtered::to_double() must equal Rational::to_double()
-// of the same value *bitwise*, because artifact bytes are printed from
-// those doubles. Dyadic128::to_double() therefore replays Rational's
-// rounding sequence instruction for instruction (see filter.cpp) rather
-// than computing a correctly-rounded conversion.
+// equals the exact one (non-overlapping intervals, exact integer
+// comparison). Tiers change cost, never results — golden artifacts stay
+// bit-identical whichever tier decided each comparison, and
+// `AURV_EXACT_ONLY=1` (or set_filter_exact_only) skips the interval and
+// inline tiers for every decision to prove it.
 //
 // Tier traffic is counted per thread (filter_stats) and published to the
 // telemetry registry as filter.fast_hits / filter.limb2_hits /
@@ -42,6 +40,7 @@
 #include <cstdint>
 #include <limits>
 #include <optional>
+#include <utility>
 
 #include "numeric/rational.hpp"
 
@@ -53,8 +52,8 @@ namespace aurv::numeric {
 // them into the process-wide telemetry registry at deterministic points.
 struct FilterStats {
   std::uint64_t fast_hits = 0;      // interval tier decided
-  std::uint64_t limb2_hits = 0;     // two-limb dyadic tier decided
-  std::uint64_t exact_escapes = 0;  // fell through to Rational
+  std::uint64_t limb2_hits = 0;     // both values inline: no BigInt touched
+  std::uint64_t exact_escapes = 0;  // a big-tier value, or exact-only mode
 };
 
 [[nodiscard]] FilterStats& filter_stats() noexcept;
@@ -64,7 +63,7 @@ struct FilterStats {
 /// thread-count-invariant like every other telemetry series.
 void flush_filter_stats();
 
-/// When true, every decision goes straight to the Rational tier: the
+/// When true, every decision goes straight to the exact comparison: the
 /// determinism proof mode behind the AURV_EXACT_ONLY=1 environment toggle
 /// (read once at startup). Artifacts must be byte-identical either way.
 [[nodiscard]] bool filter_exact_only() noexcept;
@@ -154,8 +153,16 @@ struct FInterval {
   static FInterval whole() { return {-filter_detail::kInf, filter_detail::kInf}; }
 
   /// Sound enclosure of an exact rational value; a point iff the value is
-  /// exactly representable (see filter.cpp for the proof obligations).
-  static FInterval enclose(const Rational& value);
+  /// exactly representable as a double. A function of the value alone.
+  static FInterval enclose(const Rational& value) {
+    if (const std::optional<double> exact = value.exact_double()) return point(*exact);
+    return around(value.to_double());
+  }
+
+  /// Sound non-point enclosure of a value that is not a double, from its
+  /// Rational::to_double() (within 2 ulps of it, possibly infinite). Kept
+  /// out of line so enclose()'s exact-point case inlines into the engine.
+  static FInterval around(double nearest);
 
   /// Tight enclosure of a * b for two exact doubles: one multiply plus one
   /// fma (TwoProd) instead of the eight directed products a general
@@ -238,109 +245,53 @@ enum class SignClass { kNegative, kZero, kPositive };
 [[nodiscard]] std::optional<SignClass> certified_sign(const FInterval& iv) noexcept;
 
 // ------------------------------------------------------------------------
-// Tier 2: fixed-width two-limb dyadic value, mantissa * 2^shift with an
-// __int128 mantissa (SNIPPETS.md §2 idiom). All operations either return
-// the exact result or report overflow; they never round.
-struct Dyadic128 {
-  __int128 mantissa = 0;
-  std::int64_t shift = 0;  // zero is canonically {0, 0}
-
-  /// Exact decomposition of a finite double (every finite double is some
-  /// m * 2^s with |m| < 2^53).
-  static Dyadic128 from_double(double value);
-
-  /// Strips trailing zero bits of the mantissa into the shift, restoring
-  /// maximal headroom after arithmetic.
-  void normalize();
-
-  [[nodiscard]] int sign() const { return mantissa == 0 ? 0 : (mantissa < 0 ? -1 : 1); }
-
-  /// Exact sum/difference/product, or nullopt when the result needs more
-  /// than 127 mantissa bits (the escape signal; never a rounded value).
-  static std::optional<Dyadic128> sum(const Dyadic128& a, const Dyadic128& b);
-  static std::optional<Dyadic128> difference(const Dyadic128& a, const Dyadic128& b);
-  static std::optional<Dyadic128> product(const Dyadic128& a, const Dyadic128& b);
-
-  /// Exact value comparison (leading-bit positions first, aligned
-  /// mantissas on a tie — the same trick as Rational's dyadic compare).
-  static std::strong_ordering compare(const Dyadic128& a, const Dyadic128& b);
-
-  [[nodiscard]] Rational to_rational() const;
-
-  /// Bit-identical to to_rational().to_double(): replays Rational's exact
-  /// rounding sequence so artifacts do not depend on which tier held the
-  /// value. Differentially enforced by tests/numeric_filter_test.cpp.
-  [[nodiscard]] double to_double() const;
-};
-
-// ------------------------------------------------------------------------
 // The filtered exact value: the engine's time type. Semantically identical
 // to Rational — every observable (to_double, to_rational, comparisons,
-// sign) equals the exact answer — but carried in the cheapest tier that
-// can represent it exactly, with a sound interval enclosure alongside for
-// certified comparisons.
+// sign) is the exact answer — with a sound interval enclosure alongside
+// for certified comparisons. The enclosure is rebuilt from the value after
+// every operation (never from interval-arithmetic history), so which tier
+// decides each comparison is a deterministic function of the values.
 class Filtered {
  public:
-  Filtered() = default;  // exact zero, dyadic tier
+  Filtered() = default;  // exact zero
   explicit Filtered(int value) : Filtered(static_cast<double>(value)) {}
-  explicit Filtered(const Rational& value);
-  explicit Filtered(Rational&& value);
+  explicit Filtered(const Rational& value) : value_(value) { rebuild_interval(); }
+  explicit Filtered(Rational&& value) : value_(std::move(value)) { rebuild_interval(); }
 
  private:
-  explicit Filtered(double value);  // exact; internal (from_double is the API)
+  // Exact; internal (from_double is the API).
+  explicit Filtered(double value)
+      : iv_(FInterval::point(value)), value_(Rational::from_double(value)) {}
 
  public:
   /// Exact conversion of a finite double.
   static Filtered from_double(double value) { return Filtered(value); }
 
-  /// The exact value as Rational.
-  [[nodiscard]] Rational to_rational() const;
+  /// The exact value.
+  [[nodiscard]] const Rational& to_rational() const noexcept { return value_; }
 
-  /// Bit-identical to to_rational().to_double() by the Dyadic128 mirror.
-  [[nodiscard]] double to_double() const {
-    return fast_ ? dy_.to_double() : rat_.to_double();
-  }
+  [[nodiscard]] double to_double() const noexcept { return value_.to_double(); }
 
   [[nodiscard]] const FInterval& interval() const noexcept { return iv_; }
-  /// Observability: which tier holds the value (never affects semantics).
-  [[nodiscard]] bool in_dyadic_tier() const noexcept { return fast_; }
 
   /// Exact sign via the ladder (counts one tier stat per call).
   [[nodiscard]] int sign() const;
 
   Filtered& operator+=(const Filtered& rhs) {
-    if (fast_ && rhs.fast_) {
-      if (auto result = Dyadic128::sum(dy_, rhs.dy_)) {
-        dy_ = *result;
-        rebuild_interval_from_dyadic();
-        return *this;
-      }
-    }
-    accumulate_escaped(rhs, +1);
+    value_ += rhs.value_;
+    rebuild_interval();
     return *this;
   }
 
   Filtered& operator-=(const Filtered& rhs) {
-    if (fast_ && rhs.fast_) {
-      if (auto result = Dyadic128::difference(dy_, rhs.dy_)) {
-        dy_ = *result;
-        rebuild_interval_from_dyadic();
-        return *this;
-      }
-    }
-    accumulate_escaped(rhs, -1);
+    value_ -= rhs.value_;
+    rebuild_interval();
     return *this;
   }
 
   Filtered& operator*=(const Filtered& rhs) {
-    if (fast_ && rhs.fast_) {
-      if (auto result = Dyadic128::product(dy_, rhs.dy_)) {
-        dy_ = *result;
-        rebuild_interval_from_dyadic();
-        return *this;
-      }
-    }
-    multiply_escaped(rhs);
+    value_ *= rhs.value_;
+    rebuild_interval();
     return *this;
   }
 
@@ -352,8 +303,8 @@ class Filtered {
   /// fast_hits / limb2_hits / exact_escapes is incremented per call, and
   /// the returned ordering always equals the exact one.
   friend std::strong_ordering operator<=>(const Filtered& lhs, const Filtered& rhs) {
+    FilterStats& stats = filter_stats();
     if (!filter_exact_only()) {
-      FilterStats& stats = filter_stats();
       if (lhs.iv_.hi < rhs.iv_.lo) {
         ++stats.fast_hits;
         return std::strong_ordering::less;
@@ -366,12 +317,13 @@ class Filtered {
         ++stats.fast_hits;
         return std::strong_ordering::equal;
       }
-      if (lhs.fast_ && rhs.fast_) {
+      if (lhs.value_.is_inline() && rhs.value_.is_inline()) {
         ++stats.limb2_hits;
-        return Dyadic128::compare(lhs.dy_, rhs.dy_);
+        return lhs.value_ <=> rhs.value_;
       }
     }
-    return exact_compare(lhs, rhs);
+    ++stats.exact_escapes;
+    return lhs.value_ <=> rhs.value_;
   }
 
   friend bool operator==(const Filtered& lhs, const Filtered& rhs) {
@@ -379,21 +331,10 @@ class Filtered {
   }
 
  private:
-  static std::strong_ordering exact_compare(const Filtered& lhs, const Filtered& rhs);
-  void accumulate_escaped(const Filtered& rhs, int sign_mult);
-  void multiply_escaped(const Filtered& rhs);
-  /// Escape hatch: materialize the exact Rational and leave the fast tier.
-  void escape();
-  /// iv_ is always derived from the authoritative value alone (never from
-  /// interval-arithmetic history), so enclosures — and hence which tier
-  /// decides each comparison — are deterministic functions of the value.
-  void rebuild_interval_from_dyadic();
-  void rebuild_interval_from_rational();
+  void rebuild_interval() { iv_ = FInterval::enclose(value_); }
 
-  FInterval iv_;   // sound enclosure of the value
-  Dyadic128 dy_;   // authoritative iff fast_
-  Rational rat_;   // authoritative iff !fast_
-  bool fast_ = true;
+  FInterval iv_;    // sound enclosure of value_
+  Rational value_;  // the authoritative exact value
 };
 
 }  // namespace aurv::numeric

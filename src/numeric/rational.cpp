@@ -17,22 +17,14 @@ using u128 = unsigned __int128;
 
 u128 magnitude(i128 value) { return value < 0 ? -static_cast<u128>(value) : static_cast<u128>(value); }
 
-u128 gcd_u128(u128 a, u128 b) {
-  while (b != 0) {
-    const u128 rest = a % b;
-    a = b;
-    b = rest;
-  }
-  return a;
-}
-
-unsigned tz_u128(u128 value) {
-  const auto low = static_cast<std::uint64_t>(value);
-  if (low != 0) return static_cast<unsigned>(std::countr_zero(low));
-  return 64 + static_cast<unsigned>(std::countr_zero(static_cast<std::uint64_t>(value >> 64)));
+std::int64_t bit_length_u128(u128 value) {
+  const auto high = static_cast<std::uint64_t>(value >> 64);
+  if (high != 0) return 128 - std::countl_zero(high);
+  return 64 - std::countl_zero(static_cast<std::uint64_t>(value));
 }
 
 BigInt bigint_from_i128(i128 value) {
+  if (value >= INT64_MIN && value <= INT64_MAX) return BigInt(static_cast<long long>(value));
   const bool negative = value < 0;
   const u128 mag = magnitude(value);
   BigInt result = (BigInt(static_cast<unsigned long long>(mag >> 64)) << 64) +
@@ -40,181 +32,131 @@ BigInt bigint_from_i128(i128 value) {
   return negative ? -result : result;
 }
 
-/// |value| <= kInlineMax check on a BigInt via bit length (bit_length <= 62
-/// means |v| < 2^62).
-bool fits_inline(const BigInt& value) { return value.bit_length() <= 62; }
-
-/// The dyadic tag for a canonical (positive) denominator.
-std::int64_t exponent_of(const BigInt& den) {
-  return den.is_pow2() ? static_cast<std::int64_t>(den.trailing_zero_bits()) : -1;
-}
-
 }  // namespace
 
-Rational::Rational(long long value) {
-  if (value >= -kInlineMax && value <= kInlineMax) {
-    num_ = value;
-    den_ = 1;
-  } else {
-    big_ = std::make_unique<Big>(Big{BigInt(value), BigInt(1), 0});
-  }
+Rational::Rational(BigInt value) { assign_dyadic(std::move(value), 0); }
+
+Rational::Rational(BigInt numerator, BigInt denominator) {
+  assign_fraction(std::move(numerator), std::move(denominator));
 }
 
-Rational::Rational(BigInt value) : Rational(from_bigints(std::move(value), BigInt(1))) {}
-
-Rational::Rational(BigInt numerator, BigInt denominator)
-    : Rational(from_bigints(std::move(numerator), std::move(denominator))) {}
+Rational::Big& Rational::make_big() {
+  if (!is_big()) {
+    lo_ = reinterpret_cast<std::uintptr_t>(new Big{BigInt(), BigInt(1), 0});
+    hi_ = 0;
+    exp_ = kBigTier;
+  }
+  return *big();
+}
 
 void Rational::copy_from(const Rational& other) {
-  num_ = other.num_;
-  den_ = other.den_;
-  big_ = other.big_ ? std::make_unique<Big>(*other.big_) : nullptr;
+  if (other.is_big()) {
+    make_big() = *other.big();  // reuses the limb buffers of a big *this
+    return;
+  }
+  drop_big();
+  lo_ = other.lo_;
+  hi_ = other.hi_;
+  exp_ = other.exp_;
 }
 
-Rational Rational::from_i128(i128 numerator, i128 denominator) {
-  AURV_CHECK_MSG(denominator != 0, "Rational with zero denominator");
-  if (denominator < 0) {
-    numerator = -numerator;
-    denominator = -denominator;
-  }
-  if (numerator == 0) {
-    return Rational();
-  }
-  const auto uden = static_cast<u128>(denominator);
-  if ((uden & (uden - 1)) == 0) {
-    // Dyadic: the reduction is a pair of exact shifts, no gcd. Arithmetic
-    // right shift of a negative numerator is exact here (2^t divides it).
-    const unsigned t = std::min(tz_u128(magnitude(numerator)), tz_u128(uden));
-    numerator >>= t;
-    denominator >>= t;
-  } else {
-    const u128 g = gcd_u128(magnitude(numerator), uden);
-    if (g > 1) {
-      numerator /= static_cast<i128>(g);  // exact: g divides both
-      denominator /= static_cast<i128>(g);
+void Rational::assign_fraction(BigInt numerator, BigInt denominator) {
+  AURV_CHECK_MSG(!denominator.is_zero(), "Rational with zero denominator");
+  if (!numerator.is_zero() && !denominator.is_pow2()) {
+    const BigInt g = BigInt::gcd(numerator, denominator);
+    if (g != BigInt(1)) {
+      numerator = numerator / g;
+      denominator = denominator / g;
     }
   }
-  if (magnitude(numerator) <= static_cast<u128>(kInlineMax) &&
-      static_cast<u128>(denominator) <= static_cast<u128>(kInlineMax)) {
-    Rational result;
-    result.num_ = static_cast<std::int64_t>(numerator);
-    result.den_ = static_cast<std::int64_t>(denominator);
-    return result;
-  }
-  const auto d = static_cast<u128>(denominator);
-  const std::int64_t den_exp =
-      (d & (d - 1)) == 0 ? static_cast<std::int64_t>(tz_u128(d)) : std::int64_t{-1};
-  return Rational(std::make_unique<Big>(
-      Big{bigint_from_i128(numerator), bigint_from_i128(denominator), den_exp}));
+  assign_reduced(std::move(numerator), std::move(denominator));
 }
 
-Rational Rational::from_bigints(BigInt numerator, BigInt denominator) {
-  AURV_CHECK_MSG(!denominator.is_zero(), "Rational with zero denominator");
+void Rational::assign_reduced(BigInt numerator, BigInt denominator) {
   if (denominator.is_negative()) {
     numerator.negate();
     denominator.negate();
   }
-  if (numerator.is_zero()) return Rational();
-  if (denominator.is_pow2()) {
-    // Dyadic: normalize by trailing zeros, skipping BigInt::gcd entirely.
-    Rational result;
-    result.assign_dyadic(std::move(numerator), denominator.trailing_zero_bits());
-    return result;
+  if (numerator.is_zero() || denominator.is_pow2()) {
+    // Dyadic: normalize by trailing zeros, no gcd.
+    const auto den_exp = numerator.is_zero() ? 0 : denominator.trailing_zero_bits();
+    assign_dyadic(std::move(numerator), -static_cast<std::int64_t>(den_exp));
+    return;
   }
-  const BigInt g = BigInt::gcd(numerator, denominator);
-  if (g != BigInt(1)) {
-    numerator = numerator / g;
-    denominator = denominator / g;
-  }
-  if (fits_inline(numerator) && fits_inline(denominator)) {
-    Rational result;
-    result.num_ = numerator.to_int64();
-    result.den_ = denominator.to_int64();
-    return result;
-  }
-  const std::int64_t den_exp = exponent_of(denominator);
-  return Rational(
-      std::make_unique<Big>(Big{std::move(numerator), std::move(denominator), den_exp}));
+  Big& payload = make_big();
+  payload.num = std::move(numerator);
+  payload.den = std::move(denominator);
+  payload.den_exp = -1;
 }
 
-void Rational::assign_dyadic(BigInt numerator, std::uint64_t den_exp) {
+void Rational::assign_dyadic(BigInt numerator, std::int64_t exponent) {
   if (numerator.is_zero()) {
-    num_ = 0;
-    den_ = 1;
-    big_.reset();
+    drop_big();
+    set_inline(0, 0);
     return;
   }
-  if (den_exp > 0) {
-    const std::uint64_t t = std::min(numerator.trailing_zero_bits(), den_exp);
-    if (t > 0) {
-      numerator >>= t;
-      den_exp -= t;
-    }
-  }
-  if (numerator.bit_length() <= 62 && den_exp <= 61) {
-    num_ = numerator.to_int64();
-    den_ = std::int64_t{1} << den_exp;
-    big_.reset();
+  const std::uint64_t zeros = numerator.trailing_zero_bits();
+  if (numerator.bit_length() - zeros <= 127) {
+    // The odd part fits the inline mantissa.
+    const auto mag = static_cast<i128>(*numerator.magnitude_shifted(zeros));
+    drop_big();
+    set_inline(numerator.is_negative() ? -mag : mag, exponent + static_cast<std::int64_t>(zeros));
     return;
   }
-  const auto exponent = static_cast<std::int64_t>(den_exp);
-  if (big_) {
-    // Reuse the allocation; the denominator too when the exponent is
-    // unchanged (the common case for event-time accumulation).
-    big_->num = std::move(numerator);
-    if (big_->den_exp != exponent) {
-      big_->den = BigInt::pow2(den_exp);
-      big_->den_exp = exponent;
-    }
+  // Big tier, canonical numerator / 2^den_exp.
+  std::uint64_t den_exp = 0;
+  if (exponent >= 0) {
+    numerator <<= static_cast<std::uint64_t>(exponent);
   } else {
-    big_ = std::make_unique<Big>(
-        Big{std::move(numerator), BigInt::pow2(den_exp), exponent});
+    const auto want = static_cast<std::uint64_t>(-exponent);
+    const std::uint64_t take = std::min(zeros, want);
+    if (take > 0) numerator >>= take;
+    den_exp = want - take;
+  }
+  // Reuse the allocation; the denominator too when the exponent is
+  // unchanged (the common case for event-time accumulation).
+  const auto tag = static_cast<std::int64_t>(den_exp);
+  Big& payload = make_big();
+  payload.num = std::move(numerator);
+  if (payload.den_exp != tag) {
+    payload.den = BigInt::pow2(den_exp);
+    payload.den_exp = tag;
   }
 }
 
-void Rational::try_demote() {
-  if (!big_) return;
-  if (fits_inline(big_->num) && fits_inline(big_->den)) {
-    num_ = big_->num.to_int64();
-    den_ = big_->den.to_int64();
-    big_.reset();
+const BigInt& Rational::dyadic_num(BigInt& store, std::int64_t& exponent) const {
+  if (is_big()) {
+    exponent = -big()->den_exp;
+    return big()->num;
   }
+  exponent = exp_;
+  store = bigint_from_i128(mant());
+  return store;
 }
 
 const BigInt& Rational::num_ref(BigInt& store) const {
-  if (big_) return big_->num;
-  store = BigInt(num_);
+  if (is_big()) return big()->num;
+  store = bigint_from_i128(mant());
+  if (exp_ > 0) store <<= static_cast<std::uint64_t>(exp_);
   return store;
 }
 
 const BigInt& Rational::den_ref(BigInt& store) const {
-  if (big_) return big_->den;
-  store = BigInt(den_);
+  if (is_big()) return big()->den;
+  store = exp_ < 0 ? BigInt::pow2(static_cast<std::uint64_t>(-exp_)) : BigInt(1);
   return store;
 }
 
-std::int64_t Rational::dyadic_exponent() const noexcept {
-  if (big_) return big_->den_exp;
-  const auto den = static_cast<std::uint64_t>(den_);
-  return (den & (den - 1)) == 0 ? std::countr_zero(den) : -1;
-}
-
 Rational Rational::dyadic(long long numerator, std::uint64_t pow2_exponent) {
-  if (pow2_exponent < 62) {
-    return from_i128(numerator, i128{1} << pow2_exponent);
-  }
   Rational result;
-  result.assign_dyadic(BigInt(numerator), pow2_exponent);
+  result.set_inline(numerator, -static_cast<std::int64_t>(pow2_exponent));
   return result;
 }
 
 Rational Rational::pow2(std::uint64_t exponent) {
-  if (exponent < 62) {
-    Rational result;
-    result.num_ = std::int64_t{1} << exponent;
-    return result;
-  }
-  return Rational(std::make_unique<Big>(Big{BigInt::pow2(exponent), BigInt(1), 0}));
+  Rational result;
+  result.set_inline(1, static_cast<std::int64_t>(exponent));
+  return result;
 }
 
 Rational Rational::from_string(std::string_view text) {
@@ -226,116 +168,76 @@ Rational Rational::from_string(std::string_view text) {
 
 Rational Rational::from_double(double value) {
   if (!std::isfinite(value)) throw std::invalid_argument("Rational::from_double: non-finite");
-  if (value == 0.0) return Rational();
+  Rational result;
+  if (value == 0.0) return result;
   int exponent = 0;
   const double mantissa = std::frexp(value, &exponent);  // value = mantissa * 2^exponent
   // Scale the mantissa to a 53-bit integer: mantissa * 2^53 is integral.
-  const auto scaled = static_cast<long long>(std::ldexp(mantissa, 53));
-  const std::int64_t shift = exponent - 53;
-  if (shift >= 0) {
-    if (shift <= 62) return from_i128(static_cast<i128>(scaled) << shift, 1);
-    return Rational(BigInt(scaled) << static_cast<std::uint64_t>(shift));
-  }
-  return dyadic(scaled, static_cast<std::uint64_t>(-shift));
-}
-
-Rational Rational::from_dyadic128(i128 mantissa, std::int64_t pow2_shift) {
-  if (mantissa == 0) return Rational();
-  if (pow2_shift >= 0) {
-    return Rational(bigint_from_i128(mantissa) << static_cast<std::uint64_t>(pow2_shift));
-  }
-  Rational result;
-  result.assign_dyadic(bigint_from_i128(mantissa), static_cast<std::uint64_t>(-pow2_shift));
+  result.set_inline(static_cast<long long>(std::ldexp(mantissa, 53)), exponent - 53);
   return result;
 }
 
-bool Rational::dyadic128_view(i128& mantissa, std::int64_t& pow2_shift) const noexcept {
-  if (!big_) {
-    const auto den = static_cast<std::uint64_t>(den_);
-    if ((den & (den - 1)) != 0) return false;
-    mantissa = num_;
-    pow2_shift = -static_cast<std::int64_t>(std::countr_zero(den));
-    return true;
-  }
-  const std::int64_t den_exp = big_->den_exp;
-  if (den_exp < 0) return false;
-  const BigInt& num = big_->num;
-  const std::uint64_t bits = num.bit_length();
-  const std::uint64_t tz = num.trailing_zero_bits();
-  if (bits - tz > 127) return false;
-  const std::optional<u128> mag = num.magnitude_shifted(tz);
-  if (!mag) return false;
-  mantissa = num.is_negative() ? -static_cast<i128>(*mag) : static_cast<i128>(*mag);
-  pow2_shift = static_cast<std::int64_t>(tz) - den_exp;
-  return true;
+BigInt Rational::numerator() const {
+  BigInt store;
+  return num_ref(store);
 }
 
-BigInt Rational::numerator() const { return big_ ? big_->num : BigInt(num_); }
-BigInt Rational::denominator() const { return big_ ? big_->den : BigInt(den_); }
+BigInt Rational::denominator() const {
+  BigInt store;
+  return den_ref(store);
+}
 
 Rational Rational::operator-() const {
-  if (!big_) {
-    Rational result;
-    result.num_ = -num_;
-    result.den_ = den_;
+  Rational result;
+  if (!is_big()) {
+    result.set_inline(-mant(), exp_);
     return result;
   }
-  return Rational(std::make_unique<Big>(Big{-big_->num, big_->den, big_->den_exp}));
+  Big& payload = result.make_big();
+  payload = *big();
+  payload.num.negate();
+  return result;
 }
 
 Rational Rational::abs() const { return is_negative() ? -*this : *this; }
 
 Rational Rational::reciprocal() const {
   AURV_CHECK_MSG(!is_zero(), "reciprocal of zero");
-  if (!big_) {
-    Rational result;
-    if (num_ < 0) {
-      result.num_ = -den_;
-      result.den_ = -num_;
-    } else {
-      result.num_ = den_;
-      result.den_ = num_;
+  Rational result;
+  if (!is_big()) {
+    if (mant() == 1 || mant() == -1) {
+      result.set_inline(mant(), -exp_);
+      return result;
     }
+    // 1 / (m * 2^e) with m odd: 2^-e and m share no factor.
+    BigInt store;
+    result.assign_reduced(exp_ < 0 ? BigInt::pow2(static_cast<std::uint64_t>(-exp_)) : BigInt(1),
+                          num_ref(store));
     return result;
   }
-  Big flipped{big_->den, big_->num, -1};
-  if (flipped.den.is_negative()) {
-    flipped.num.negate();
-    flipped.den.negate();
-  }
-  flipped.den_exp = exponent_of(flipped.den);
-  Rational result(std::make_unique<Big>(std::move(flipped)));
-  result.try_demote();  // e.g. reciprocal of 1/2^100 is an integer tier... still big; harmless
+  result.assign_reduced(big()->den, big()->num);
   return result;
 }
 
-void Rational::add_impl(const Rational& rhs, int sign_mult) {
-  if (!big_ && !rhs.big_) {
-    // |a|,|b| < 2^62: each product < 2^124, their sum < 2^125 < 2^127.
-    const i128 numerator = static_cast<i128>(num_) * rhs.den_ +
-                           sign_mult * static_cast<i128>(rhs.num_) * den_;
-    const i128 denominator = static_cast<i128>(den_) * rhs.den_;
-    *this = from_i128(numerator, denominator);
-    return;
-  }
+void Rational::add_big(const Rational& rhs, int sign_mult) {
   if (&rhs == this) {
     // Self-aliasing would read a moved-from numerator below.
     const Rational copy(rhs);
-    add_impl(copy, sign_mult);
+    add_big(copy, sign_mult);
     return;
   }
-  const std::int64_t ea = dyadic_exponent();
-  const std::int64_t eb = rhs.dyadic_exponent();
   BigInt rhs_store;
-  if (ea >= 0 && eb >= 0) {
-    // Dyadic fast path: shift-align the numerators and integer-add; the
-    // result denominator is 2^max(ea, eb) before trailing-zero reduction.
-    // No gcd, no cross multiplication.
-    const BigInt& rhs_num = rhs.num_ref(rhs_store);
-    BigInt num = big_ ? std::move(big_->num) : BigInt(num_);
-    if (eb > ea) num <<= static_cast<std::uint64_t>(eb - ea);
-    num.add_shifted(rhs_num, static_cast<std::uint64_t>(ea > eb ? ea - eb : 0), sign_mult);
-    assign_dyadic(std::move(num), static_cast<std::uint64_t>(std::max(ea, eb)));
+  if (is_dyadic() && rhs.is_dyadic()) {
+    // Dyadic path: shift-align the numerators and integer-add. No gcd, no
+    // cross multiplication.
+    std::int64_t eb = 0;
+    const BigInt& rhs_num = rhs.dyadic_num(rhs_store, eb);
+    const std::int64_t ea = is_big() ? -big()->den_exp : exp_;
+    BigInt num = is_big() ? std::move(big()->num) : bigint_from_i128(mant());
+    const std::int64_t low = std::min(ea, eb);
+    if (ea > low) num <<= static_cast<std::uint64_t>(ea - low);
+    num.add_shifted(rhs_num, static_cast<std::uint64_t>(eb - low), sign_mult);
+    assign_dyadic(std::move(num), low);
     return;
   }
   BigInt num_store, den_store, rhs_den_store;
@@ -347,146 +249,168 @@ void Rational::add_impl(const Rational& rhs, int sign_mult) {
   BigInt cross = b_num * a_den;
   if (sign_mult < 0) cross.negate();
   num += cross;
-  *this = from_bigints(std::move(num), a_den * b_den);
+  BigInt den = a_den * b_den;
+  assign_fraction(std::move(num), std::move(den));
 }
 
-Rational& Rational::operator+=(const Rational& rhs) {
-  add_impl(rhs, 1);
-  return *this;
-}
-
-Rational& Rational::operator-=(const Rational& rhs) {
-  add_impl(rhs, -1);
-  return *this;
-}
-
-Rational& Rational::operator*=(const Rational& rhs) {
-  if (!big_ && !rhs.big_) {
-    return *this = from_i128(static_cast<i128>(num_) * rhs.num_,
-                             static_cast<i128>(den_) * rhs.den_);
-  }
-  const std::int64_t ea = dyadic_exponent();
-  const std::int64_t eb = rhs.dyadic_exponent();
+void Rational::multiply_big(const Rational& rhs) {
   BigInt a_store, b_store;
-  if (ea >= 0 && eb >= 0) {
-    // Dyadic fast path: one integer multiply, trailing-zero normalize.
-    BigInt num = num_ref(a_store) * rhs.num_ref(b_store);
-    assign_dyadic(std::move(num), static_cast<std::uint64_t>(ea + eb));
-    return *this;
+  if (is_dyadic() && rhs.is_dyadic()) {
+    // Dyadic path: one integer multiply, trailing-zero normalize.
+    std::int64_t ea = 0;
+    std::int64_t eb = 0;
+    BigInt num = dyadic_num(a_store, ea) * rhs.dyadic_num(b_store, eb);
+    assign_dyadic(std::move(num), ea + eb);
+    return;
   }
   BigInt a_den_store, b_den_store;
   const BigInt& a_num = num_ref(a_store);
   const BigInt& a_den = den_ref(a_den_store);
   const BigInt& b_num = rhs.num_ref(b_store);
   const BigInt& b_den = rhs.den_ref(b_den_store);
-  return *this = from_bigints(a_num * b_num, a_den * b_den);
+  BigInt num = a_num * b_num;
+  BigInt den = a_den * b_den;
+  assign_fraction(std::move(num), std::move(den));
 }
 
 Rational& Rational::operator/=(const Rational& rhs) {
   AURV_CHECK_MSG(!rhs.is_zero(), "Rational division by zero");
-  if (!big_ && !rhs.big_) {
-    return *this = from_i128(static_cast<i128>(num_) * rhs.den_,
-                             static_cast<i128>(den_) * rhs.num_);
-  }
   BigInt a_num_store, a_den_store, b_num_store, b_den_store;
   const BigInt& a_num = num_ref(a_num_store);
   const BigInt& a_den = den_ref(a_den_store);
   const BigInt& b_num = rhs.num_ref(b_num_store);
   const BigInt& b_den = rhs.den_ref(b_den_store);
-  // from_bigints re-detects a dyadic denominator (e.g. dividing by an
+  // assign_fraction re-detects a dyadic denominator (e.g. dividing by an
   // integer power of two), so the gcd skip still applies when possible.
-  return *this = from_bigints(a_num * b_den, a_den * b_num);
+  BigInt num = a_num * b_den;
+  BigInt den = a_den * b_num;
+  assign_fraction(std::move(num), std::move(den));
+  return *this;
 }
 
 bool operator==(const Rational& lhs, const Rational& rhs) noexcept {
-  // Canonical forms are unique and any value that fits the inline tier is
+  // Canonical forms are unique and every value that fits the inline tier is
   // stored inline, so cross-tier values are never equal.
-  if (!lhs.big_ && !rhs.big_) return lhs.num_ == rhs.num_ && lhs.den_ == rhs.den_;
-  if (static_cast<bool>(lhs.big_) != static_cast<bool>(rhs.big_)) return false;
-  return lhs.big_->num == rhs.big_->num && lhs.big_->den == rhs.big_->den;
+  if (lhs.is_big() != rhs.is_big()) return false;
+  if (!lhs.is_big()) return lhs.lo_ == rhs.lo_ && lhs.hi_ == rhs.hi_ && lhs.exp_ == rhs.exp_;
+  return lhs.big()->num == rhs.big()->num && lhs.big()->den == rhs.big()->den;
 }
 
 std::strong_ordering operator<=>(const Rational& lhs, const Rational& rhs) noexcept {
-  if (!lhs.big_ && !rhs.big_) {
-    const i128 left = static_cast<i128>(lhs.num_) * rhs.den_;
-    const i128 right = static_cast<i128>(rhs.num_) * lhs.den_;
-    if (left < right) return std::strong_ordering::less;
-    if (left > right) return std::strong_ordering::greater;
-    return std::strong_ordering::equal;
-  }
   const int sign_a = lhs.sign();
   const int sign_b = rhs.sign();
   if (sign_a != sign_b) return sign_a <=> sign_b;
-  // sign_a == sign_b != 0: a big-tier value is never zero.
-  const std::int64_t ea = lhs.dyadic_exponent();
-  const std::int64_t eb = rhs.dyadic_exponent();
+  if (sign_a == 0) return std::strong_ordering::equal;
+  const auto by_sign = [sign_a](std::strong_ordering magnitude_order) {
+    return sign_a > 0 ? magnitude_order : 0 <=> magnitude_order;
+  };
+  if (!lhs.is_big() && !rhs.is_big()) {
+    // Leading-bit positions first; on a tie the exponent gap equals the
+    // width gap, so aligning the mantissas cannot overflow 128 bits.
+    const u128 mag_a = magnitude(lhs.mant());
+    const u128 mag_b = magnitude(rhs.mant());
+    const std::int64_t lead_a = bit_length_u128(mag_a) + lhs.exp_;
+    const std::int64_t lead_b = bit_length_u128(mag_b) + rhs.exp_;
+    if (lead_a != lead_b) return by_sign(lead_a <=> lead_b);
+    if (lhs.exp_ >= rhs.exp_) return by_sign(mag_a << (lhs.exp_ - rhs.exp_) <=> mag_b);
+    return by_sign(mag_a <=> mag_b << (rhs.exp_ - lhs.exp_));
+  }
   BigInt a_store, b_store;
-  const BigInt& a_num = lhs.num_ref(a_store);
-  const BigInt& b_num = rhs.num_ref(b_store);
-  if (ea >= 0 && eb >= 0) {
-    // Dyadic fast path. First compare the positions of the leading bits
-    // (floor(log2 |v|) = bit_length(num) - 1 - e): distinct positions
+  if (lhs.is_dyadic() && rhs.is_dyadic()) {
+    // Dyadic path. First compare the positions of the leading bits
+    // (floor(log2 |v|) = bit_length(num) - 1 + e): distinct positions
     // decide the order without touching the limbs.
-    const std::int64_t adj_a = static_cast<std::int64_t>(a_num.bit_length()) - ea;
-    const std::int64_t adj_b = static_cast<std::int64_t>(b_num.bit_length()) - eb;
-    if (adj_a != adj_b) {
-      const bool magnitude_less = adj_a < adj_b;
-      const bool value_less = sign_a > 0 ? magnitude_less : !magnitude_less;
-      return value_less ? std::strong_ordering::less : std::strong_ordering::greater;
-    }
+    std::int64_t ea = 0;
+    std::int64_t eb = 0;
+    const BigInt& a_num = lhs.dyadic_num(a_store, ea);
+    const BigInt& b_num = rhs.dyadic_num(b_store, eb);
+    const std::int64_t lead_a = static_cast<std::int64_t>(a_num.bit_length()) + ea;
+    const std::int64_t lead_b = static_cast<std::int64_t>(b_num.bit_length()) + eb;
+    if (lead_a != lead_b) return by_sign(lead_a <=> lead_b);
     // Leading bits tie: align the numerators with one shift and compare.
-    if (ea >= eb) return a_num <=> (b_num << static_cast<std::uint64_t>(ea - eb));
-    return (a_num << static_cast<std::uint64_t>(eb - ea)) <=> b_num;
+    if (ea >= eb) return a_num << static_cast<std::uint64_t>(ea - eb) <=> b_num;
+    return a_num <=> b_num << static_cast<std::uint64_t>(eb - ea);
   }
   BigInt a_den_store, b_den_store;
+  const BigInt& a_num = lhs.num_ref(a_store);
+  const BigInt& b_num = rhs.num_ref(b_store);
   const BigInt& a_den = lhs.den_ref(a_den_store);
   const BigInt& b_den = rhs.den_ref(b_den_store);
   return a_num * b_den <=> b_num * a_den;
 }
 
 BigInt Rational::floor() const {
-  if (!big_) {
-    std::int64_t quotient = num_ / den_;
-    if (num_ % den_ != 0 && num_ < 0) --quotient;
-    return BigInt(quotient);
+  if (!is_big()) {
+    if (exp_ >= 0) return numerator();
+    // m is odd, so the value is never integral; the arithmetic shift
+    // rounds toward -inf (and saturates at 0 / -1 past the width).
+    return bigint_from_i128(mant() >> std::min<std::int64_t>(-exp_, 127));
   }
-  if (big_->den_exp == 0) return big_->num;  // integer stored big
-  if (big_->den_exp > 0) {
+  const Big& b = *big();
+  if (b.den_exp == 0) return b.num;  // integer stored big
+  if (b.den_exp > 0) {
     // Canonical dyadic with e > 0 has an odd numerator, so the value is
     // never integral: shift truncates toward zero, adjust negatives.
-    BigInt quotient = big_->num >> static_cast<std::uint64_t>(big_->den_exp);
-    if (big_->num.is_negative()) quotient -= BigInt(1);
+    BigInt quotient = b.num >> static_cast<std::uint64_t>(b.den_exp);
+    if (b.num.is_negative()) quotient -= BigInt(1);
     return quotient;
   }
-  const BigInt::DivModResult dm = BigInt::divmod(big_->num, big_->den);
-  if (big_->num.is_negative() && !dm.remainder.is_zero()) return dm.quotient - BigInt(1);
+  const BigInt::DivModResult dm = BigInt::divmod(b.num, b.den);
+  if (b.num.is_negative() && !dm.remainder.is_zero()) return dm.quotient - BigInt(1);
   return dm.quotient;
 }
 
 BigInt Rational::ceil() const {
-  if (!big_) {
-    std::int64_t quotient = num_ / den_;
-    if (num_ % den_ != 0 && num_ > 0) ++quotient;
-    return BigInt(quotient);
+  if (!is_big()) {
+    if (exp_ >= 0) return numerator();
+    return floor() + BigInt(1);
   }
-  if (big_->den_exp == 0) return big_->num;  // integer stored big
-  if (big_->den_exp > 0) {
-    BigInt quotient = big_->num >> static_cast<std::uint64_t>(big_->den_exp);
-    if (!big_->num.is_negative()) quotient += BigInt(1);
+  const Big& b = *big();
+  if (b.den_exp == 0) return b.num;  // integer stored big
+  if (b.den_exp > 0) {
+    BigInt quotient = b.num >> static_cast<std::uint64_t>(b.den_exp);
+    if (!b.num.is_negative()) quotient += BigInt(1);
     return quotient;
   }
-  const BigInt::DivModResult dm = BigInt::divmod(big_->num, big_->den);
-  if (!big_->num.is_negative() && !dm.remainder.is_zero()) return dm.quotient + BigInt(1);
+  const BigInt::DivModResult dm = BigInt::divmod(b.num, b.den);
+  if (!b.num.is_negative() && !dm.remainder.is_zero()) return dm.quotient + BigInt(1);
   return dm.quotient;
 }
 
 double Rational::to_double() const noexcept {
-  if (!big_) {
-    return static_cast<double>(num_) / static_cast<double>(den_);
+  if (!is_big()) {
+    const i128 mantissa = mant();
+    if (mantissa == 0) return 0.0;
+    const u128 mag = magnitude(mantissa);
+    const bool negative = mantissa < 0;
+    // Saturate exponents before narrowing: ldexp of a factor in
+    // [2^-62, 2^62] flushes to 0 / inf well inside +/-5000.
+    const auto scale = [](std::int64_t exponent) {
+      return static_cast<int>(std::clamp<std::int64_t>(exponent, -5000, 5000));
+    };
+    if (mag < (static_cast<u128>(1) << 53)) {
+      // The rule below performs one correctly rounded operation on an
+      // exactly held mantissa here, which is what ldexp does directly.
+      const double result = std::ldexp(static_cast<double>(static_cast<std::uint64_t>(mag)),
+                                       scale(exp_));
+      return negative ? -result : result;
+    }
+    // The big tier's rule on numerator mag * 2^max(e, 0) and denominator
+    // 2^max(-e, 0): each truncated to its top 62 bits (a no-op when both
+    // fit, leaving one rounded division), the quotient scaled back.
+    const std::int64_t num_shift = std::max<std::int64_t>(exp_, 0);
+    const std::int64_t den_exp = std::max<std::int64_t>(-exp_, 0);
+    const std::int64_t num_drop = std::max<std::int64_t>(bit_length_u128(mag) + num_shift - 62, 0);
+    const std::int64_t den_drop = std::max<std::int64_t>(den_exp + 1 - 62, 0);
+    const std::int64_t shift = num_shift - num_drop;  // mag's bits kept: > -128, < 62
+    const u128 top = shift >= 0 ? mag << shift : mag >> -shift;
+    const double quotient = static_cast<double>(static_cast<std::uint64_t>(top)) /
+                            static_cast<double>(std::uint64_t{1} << (den_exp - den_drop));
+    const double result = std::ldexp(quotient, scale(num_drop - den_drop));
+    return negative ? -result : result;
   }
-  const BigInt& num = big_->num;
-  const BigInt& den = big_->den;
-  if (num.is_zero()) return 0.0;
+  const BigInt& num = big()->num;
+  const BigInt& den = big()->den;
   // Align both operands so the division happens on ~62 significant bits,
   // then restore the binary exponent with ldexp. Avoids overflow/underflow
   // of the separate to_double() conversions for huge operands.
@@ -510,12 +434,13 @@ double Rational::to_double() const noexcept {
 }
 
 std::string Rational::to_string() const {
-  if (!big_) {
-    if (den_ == 1) return std::to_string(num_);
-    return std::to_string(num_) + "/" + std::to_string(den_);
+  if (!is_big() && exp_ >= 0 && exp_ < 64 && bit_length_u128(magnitude(mant())) + exp_ <= 63) {
+    return std::to_string(static_cast<long long>(mant() << exp_));
   }
-  if (big_->den_exp == 0) return big_->num.to_string();
-  return big_->num.to_string() + "/" + big_->den.to_string();
+  BigInt num_store, den_store;
+  const BigInt& num = num_ref(num_store);
+  if (is_integer()) return num.to_string();
+  return num.to_string() + "/" + den_ref(den_store).to_string();
 }
 
 }  // namespace aurv::numeric

@@ -1,6 +1,6 @@
 // Embedded HTTP status server: live introspection of a running driver
-// over plain HTTP/1.1 (`--status-port PORT` on aurv_sweep / aurv_cli
-// sweep; 0 asks the kernel for an ephemeral port, announced as one JSON
+// over plain HTTP/1.1 (`--status-port PORT` on aurv_sweep run / search;
+// 0 asks the kernel for an ephemeral port, announced as one JSON
 // line on stderr). Four GET endpoints:
 //
 //   /metrics   Prometheus text exposition (format 0.0.4) rendered from a
@@ -142,9 +142,9 @@ struct Response {
 /// dashes to underscores, counters as `_total`, gauges plain, log2
 /// histograms as cumulative `_bucket{le="2^k-1"}`/`_sum`/`_count`,
 /// timers as `_seconds_total` (%.9f) + `_spans_total`, preceded by
-/// `aurv_run_info{...} 1` and `aurv_uptime_seconds`.
-/// `scripts/metrics_report.py prom` renders the identical format from an
-/// offline snapshot file — keep the two in lockstep.
+/// `aurv_run_info{...} 1` and `aurv_uptime_seconds`. The only renderer of
+/// this format: offline snapshot files are inspected with
+/// `scripts/metrics_report.py show`.
 [[nodiscard]] std::string render_prometheus(const telemetry::Registry::Snapshot& snapshot,
                                             const RunInfo& run, double uptime_s);
 

@@ -2,8 +2,8 @@
 // BigInt in-place ops, dyadic-tagged Rational shift-align arithmetic) must
 // be bit-exact against the slow/general paths over mixed small / huge /
 // dyadic / non-dyadic operands, including the tier-transition boundaries
-// (|v| around 2^62 for the Rational inline tier, 2-limb -> 3-limb spill for
-// the BigInt small buffer).
+// (127 significant bits for the Rational inline tier, 2-limb -> 3-limb
+// spill for the BigInt small buffer).
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -149,19 +149,20 @@ int ref_compare(const Rational& a, const Rational& b) {
 }
 
 /// Mixed operand pool: inline/big x dyadic/non-dyadic, clustered around the
-/// inline-tier boundary 2^62 and the paper's huge phase waits.
+/// inline tier's 127-bit mantissa limit, 62-bit parts and the paper's huge
+/// phase waits.
 Rational random_rational(std::mt19937_64& rng) {
   const auto small = [&]() -> long long {
     return static_cast<long long>(rng() % 2048) - 1024;
   };
-  switch (rng() % 8) {
+  switch (rng() % 9) {
     case 0:  // small non-dyadic
       return Rational(BigInt(small()), BigInt(small() * 2 + 1));
     case 1:  // small dyadic
       return Rational::dyadic(small(), rng() % 10);
-    case 2:  // inline boundary: numerators straddling 2^62
+    case 2:  // non-dyadic with numerators straddling 2^62
       return Rational(BigInt::pow2(62) + BigInt(small()), BigInt(small() * 2 + 1));
-    case 3:  // inline boundary: dyadic with den straddling 2^61..2^63
+    case 3:  // dyadic with den straddling 2^61..2^63
       return Rational::dyadic(small() * 2 + 1, 60 + rng() % 4);
     case 4:  // huge dyadic (phase-wait shape)
       return Rational::pow2(100 + rng() % 300) + Rational::dyadic(small(), 1 + rng() % 12);
@@ -170,9 +171,25 @@ Rational random_rational(std::mt19937_64& rng) {
                       BigInt::pow2(50) + BigInt(3));
     case 6:  // negative huge dyadic
       return -(Rational::pow2(100 + rng() % 300) + Rational::dyadic(small(), 1 + rng() % 12));
+    case 7: {  // inline tier's wide end: 63..127-bit mantissa, large exponent
+      const unsigned width = 63 + static_cast<unsigned>(rng() % 65);
+      BigInt mantissa = BigInt::pow2(width - 1) + (BigInt(rng() >> 2) << (width - 63)) + BigInt(1);
+      if (rng() % 2 == 0) mantissa.negate();
+      const long long exponent = static_cast<long long>(rng() % 2001) - 1000;
+      if (exponent >= 0) return Rational(mantissa << static_cast<std::uint64_t>(exponent));
+      return Rational(mantissa, BigInt::pow2(static_cast<std::uint64_t>(-exponent)));
+    }
     default:  // zero and integers
       return Rational(small());
   }
+}
+
+/// The inline tier's rule, computed without the tier code: a dyadic with at
+/// most 127 significant bits.
+bool fits_inline_tier(const Rational& value) {
+  if (!value.denominator().is_pow2()) return false;
+  const BigInt num = value.numerator();
+  return num.is_zero() || num.bit_length() - num.trailing_zero_bits() <= 127;
 }
 
 void expect_same(const Rational& fast, const Rational& reference, const char* what,
@@ -184,7 +201,7 @@ void expect_same(const Rational& fast, const Rational& reference, const char* wh
   // Representation must be canonical and tier-correct, not just equal.
   EXPECT_EQ(fast.numerator(), reference.numerator()) << what;
   EXPECT_EQ(fast.denominator(), reference.denominator()) << what;
-  EXPECT_EQ(fast.is_inline(), reference.is_inline()) << what;
+  EXPECT_EQ(fast.is_inline(), fits_inline_tier(reference)) << what;
 }
 
 TEST(FastPathRational, AddSubDifferential) {
@@ -252,21 +269,34 @@ TEST(FastPathRational, SelfAliasingOps) {
 }
 
 TEST(FastPathRational, InlineTierBoundaryExact) {
-  // 2^62 - 1 is the largest inline numerator; one more promotes.
-  const Rational max_inline((std::int64_t{1} << 62) - 1);
+  // 2^127 - 1 is the widest inline mantissa; one more significant bit
+  // promotes.
+  const Rational max_inline(BigInt::pow2(127) - BigInt(1));
   EXPECT_TRUE(max_inline.is_inline());
   Rational promoted = max_inline;
-  promoted += Rational(1);
+  promoted += Rational(2);
   EXPECT_FALSE(promoted.is_inline());
-  EXPECT_EQ(promoted.numerator(), BigInt::pow2(62));
+  EXPECT_EQ(promoted.numerator(), BigInt::pow2(127) + BigInt(1));
   // And the demotion on the way back down is exact.
-  promoted -= Rational(1);
+  promoted -= Rational(2);
   EXPECT_TRUE(promoted.is_inline());
   EXPECT_EQ(promoted, max_inline);
-  // Denominator side: 2^61 stays inline, 2^62 promotes.
+  // Only significant bits count, not magnitude: exponents are free.
   EXPECT_TRUE(Rational::dyadic(1, 61).is_inline());
-  EXPECT_FALSE(Rational::dyadic(1, 62).is_inline());
+  EXPECT_TRUE(Rational::dyadic(1, 62).is_inline());
   EXPECT_EQ(Rational::dyadic(1, 61) * Rational::dyadic(1, 1), Rational::dyadic(1, 62));
+  EXPECT_TRUE((max_inline * Rational::pow2(5000)).is_inline());
+  EXPECT_TRUE((max_inline * Rational::dyadic(1, 5000)).is_inline());
+  EXPECT_FALSE(((Rational::pow2(127) + Rational(1)) * Rational::dyadic(1, 3000)).is_inline());
+  // A mantissa product past 127 bits promotes; a shift-align sum whose
+  // aligned operand overflows comes back inline when the result fits.
+  const Rational wide = Rational::pow2(64) + Rational(1);
+  EXPECT_FALSE((wide * wide).is_inline());
+  const Rational sum = (Rational::pow2(300) + Rational(1)) - Rational::pow2(300);
+  EXPECT_TRUE(sum.is_inline());
+  EXPECT_EQ(sum, Rational(1));
+  // Non-dyadic values are big however small.
+  EXPECT_FALSE(Rational(BigInt(1), BigInt(3)).is_inline());
 }
 
 TEST(FastPathRational, DyadicObservability) {

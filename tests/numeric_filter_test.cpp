@@ -1,17 +1,20 @@
 // Differential tests for the filtered numeric kernel: every tier of the
-// ladder (double interval, two-limb dyadic, exact rational) must return the
-// same answer the Rational authority would, the interval tier must always
-// enclose the true value, and Dyadic128::to_double must replay
-// Rational::to_double bit for bit so artifact bytes never depend on which
-// tier happened to hold a value. Includes constructed near-ties whose
+// ladder (double interval, Rational's inline dyadic tier, Rational's big
+// tier) must return the same answer the Rational authority would, the
+// interval tier must always enclose the true value, and Rational::to_double
+// must reproduce a pinned table of bit patterns, since artifact bytes are
+// printed from those doubles. Includes constructed near-ties whose
 // intervals overlap, forcing the deeper tiers to settle the comparison.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <cmath>
 #include <compare>
 #include <cstdint>
 #include <random>
+#include <string>
+#include <string_view>
 #include <vector>
 
 #include "agents/instance.hpp"
@@ -41,9 +44,9 @@ bool same_double_bits(double a, double b) {
   return std::bit_cast<std::uint64_t>(a) == std::bit_cast<std::uint64_t>(b);
 }
 
-/// Random rationals spanning every tier: small dyadics (interval-point
-/// resident), two-limb dyadics (Dyadic128 resident), wide dyadics and
-/// non-dyadics (Rational escapes).
+/// Random rationals spanning every tier: small dyadics (interval points),
+/// dyadics wider than a double (inline tier), and wide dyadics and
+/// non-dyadics (big tier).
 Rational random_rational(std::mt19937_64& rng) {
   const auto small = [&](std::uint64_t bound) {
     return static_cast<long long>(rng() % bound) - static_cast<long long>(bound / 2);
@@ -53,11 +56,11 @@ Rational random_rational(std::mt19937_64& rng) {
       return Rational(small(1000));
     case 1:  // small dyadic: exactly representable as a double
       return Rational::dyadic(small(1 << 20), rng() % 30);
-    case 2:  // two-limb dyadic: Dyadic128 tier, beyond double's mantissa
+    case 2:  // inline-tier dyadic beyond double's mantissa
       return Rational::pow2(40 + rng() % 40) + Rational::dyadic(small(1 << 20), rng() % 50);
-    case 3:  // wide dyadic: > 127 mantissa bits, escapes to Rational
+    case 3:  // wide dyadic: > 127 significant bits, big tier
       return Rational::pow2(150 + rng() % 100) + Rational::dyadic(1 + small(64) % 7, 30 + rng() % 30);
-    case 4:  // non-dyadic: never enters the dyadic tier
+    case 4:  // non-dyadic: always big tier
       return Rational(BigInt(small(10000)), BigInt(1 + rng() % 97));
     default:  // huge magnitude integer
       return Rational::pow2(300 + rng() % 80) - Rational(small(50));
@@ -84,11 +87,11 @@ TEST(FilteredKernel, NearTiesInsideIntervalOverlapEscalateCorrectly) {
     Rational rhs;
   };
   const std::vector<Case> cases = {
-      // Dyadic128-resident: identical leading 60 bits, tail differs.
+      // Inline tier: identical leading 60 bits, tail differs.
       {Rational::pow2(60) + Rational::dyadic(3, 60), Rational::pow2(60) + Rational::dyadic(5, 61)},
-      // Dyadic128-resident exact tie spelled two ways.
+      // Inline tier: exact tie spelled two ways.
       {Rational::pow2(60) + Rational::dyadic(2, 60), Rational::pow2(60) + Rational::dyadic(1, 59)},
-      // Rational-resident (> 127 mantissa bits): tail below double visibility.
+      // Big tier (> 127 significant bits): tail below double visibility.
       {Rational::pow2(200) + Rational::dyadic(1, 100),
        Rational::pow2(200) + Rational::dyadic(1, 101)},
       // Non-dyadic equality spelled two ways.
@@ -168,40 +171,96 @@ TEST(FilteredKernel, IntervalAlwaysEnclosesAndPointsAreExact) {
   }
 }
 
-TEST(FilteredKernel, DyadicToDoubleReplaysRationalToDoubleBitForBit) {
-  std::mt19937_64 rng(991199);
-  for (int round = 0; round < 4000; ++round) {
-    const Rational value = random_rational(rng);
-    const Filtered filtered(value);
-    // Whichever tier holds the value, to_double must equal the authority's.
-    EXPECT_TRUE(same_double_bits(filtered.to_double(), value.to_double()))
-        << value.to_string() << " tier=" << filtered.in_dyadic_tier();
-    __int128 mantissa = 0;
-    std::int64_t scale = 0;
-    if (value.dyadic128_view(mantissa, scale)) {
-      Dyadic128 dyadic{mantissa, scale};
-      dyadic.normalize();
-      EXPECT_TRUE(same_double_bits(dyadic.to_double(), value.to_double()))
-          << value.to_string();
-      EXPECT_EQ(dyadic.to_rational(), value);
+/// Parses one side of a pinned-table value: a sum of signed terms, each a
+/// product of decimal integers and powers 2^k ("2^100+2^47+1", "3*2^300+1").
+BigInt parse_side(std::string_view text) {
+  BigInt total;
+  while (!text.empty()) {
+    const std::size_t end = std::min(text.find_first_of("+-", 1), text.size());
+    std::string_view term = text.substr(0, end);
+    text.remove_prefix(end);
+    const bool negative = term.front() == '-';
+    if (term.front() == '-' || term.front() == '+') term.remove_prefix(1);
+    BigInt product(1);
+    while (!term.empty()) {
+      const std::size_t star = std::min(term.find('*'), term.size());
+      const std::string_view factor = term.substr(0, star);
+      product *= factor.starts_with("2^") ? BigInt::pow2(std::stoull(std::string(factor.substr(2))))
+                                          : BigInt::from_string(factor);
+      term.remove_prefix(std::min(star + 1, term.size()));
     }
+    total += negative ? -product : product;
   }
-  // Deep/huge endpoints of the conversion: denominator exponent past the
-  // inline tier, numerator past 62 bits, and saturation to infinity.
-  const std::vector<Rational> edges = {
-      Rational::dyadic(1, 120),
-      Rational::dyadic((1ll << 62) - 3, 120),
-      Rational::pow2(120) + Rational::dyadic(1, 5),
-      Rational::pow2(1023),
-      Rational::pow2(1024),  // overflows to inf in both paths
-      Rational::dyadic(1, 1074),
-      Rational::dyadic(1, 1100),  // underflows to zero in both paths
+  return total;
+}
+
+/// "N" or "N/D", each side in parse_side's syntax.
+Rational parse_pinned(std::string_view text) {
+  const std::size_t slash = text.find('/');
+  if (slash == std::string_view::npos) return Rational(parse_side(text));
+  return Rational(parse_side(text.substr(0, slash)), parse_side(text.substr(slash + 1)));
+}
+
+TEST(FilteredKernel, ToDoubleMatchesPinnedTable) {
+  // Bit patterns produced by Rational::to_double when small values were an
+  // int64 pair and 63..127-bit dyadics lived in a separate filter tier. The
+  // rule is truncate-to-62-bits-then-round, not correct rounding (see the
+  // truncation ties), so every representation must keep reproducing it.
+  struct Pinned {
+    const char* value;
+    std::uint64_t bits;
+    const char* shape;
   };
-  for (const Rational& value : edges) {
-    const Filtered filtered(value);
-    EXPECT_TRUE(same_double_bits(filtered.to_double(), value.to_double()))
-        << value.to_string();
+  const std::vector<Pinned> table = {
+      {"1/3", 0x3fd5555555555555, "non-dyadic"},  // 0.33333333333333331
+      {"-2/7", 0xbfd2492492492492, "non-dyadic, negative"},  // -0.2857142857142857
+      {"3/2^10", 0x3f68000000000000, "dyadic, exact double"},  // 0.0029296875
+      {"2^62-1", 0x43d0000000000000, "largest old int64-tier integer"},  // 4.6116860184273879e+18
+      {"-2^62+1/2^61", 0xc000000000000000, "62-bit numerator over 2^61"},  // -2
+      {"2^53+1", 0x4340000000000000, "54-bit integer, half-even tie"},  // 9007199254740992
+      {"2^61+2^8+1/2^30", 0x41e0000000000001, "62-bit numerator over 2^30"},  // 2147483648.0000005
+      {"2^62-1/3", 0x43b5555555555555, "62-bit non-dyadic"},  // 1.5372286728091292e+18
+      {"2^61-1/2^62-1", 0x3fe0000000000000, "non-dyadic, 61- and 62-bit parts"},  // 0.5
+      {"2^62", 0x43d0000000000000, "first integer past the old int64 tier"},  // 4.6116860184273879e+18
+      {"2^62+1", 0x43d0000000000000, "63-bit odd integer"},  // 4.6116860184273879e+18
+      {"2^100+2^47+1", 0x4630000000000000, "101 bits: 62-bit truncation makes a tie"},  // 1.2676506002282294e+30
+      {"-2^100-2^47-1", 0xc630000000000000, "negative truncation tie"},  // -1.2676506002282294e+30
+      {"2^100+2^47", 0x4630000000000000, "101 bits: exact tie"},  // 1.2676506002282294e+30
+      {"2^100+1/2^40", 0x43b0000000000000, "101-bit numerator over 2^40"},  // 1.152921504606847e+18
+      {"2^126+2^70+1/2^3", 0x47a0000000000000, "127-bit numerator over 2^3"},  // 1.0633823966279327e+37
+      {"2^126+2^73+1/2^120", 0x4050000000000000, "127-bit numerator over 2^120"},  // 64
+      {"2^60+3/2^62", 0x3fd0000000000000, "61-bit numerator over 2^62"},  // 0.25
+      {"1/2^120", 0x3870000000000000, "1/2^120"},  // 7.5231638452626401e-37
+      {"2^62-3/2^120", 0x3c50000000000000, "62-bit numerator over 2^120"},  // 3.4694469519536142e-18
+      {"2^125+1/2^5", 0x4770000000000000, "126-bit numerator over 2^5"},  // 1.3292279957849159e+36
+      {"2^70+1/2^1100", 0x0000100000000000, "71-bit numerator, subnormal"},  // 8.6916947597937554e-311
+      {"2^60+1/2^1080", 0x0030000000000000, "61-bit numerator, subnormal"},  // 8.9002954340288055e-308
+      {"3/2^1075", 0x0000000000000002, "subnormal half-way"},  // 9.8813129168249309e-324
+      {"1/2^1074", 0x0000000000000001, "smallest subnormal"},  // 4.9406564584124654e-324
+      {"1/2^1100", 0x0000000000000000, "underflows to zero"},  // 0
+      {"2^1023", 0x7fe0000000000000, "2^1023"},  // 8.9884656743115795e+307
+      {"2^1026+2^900", 0x7ff0000000000000, "127-bit mantissa, 2^900 scale"},  // inf
+      {"2^1024", 0x7ff0000000000000, "overflows to infinity"},  // inf
+      {"-2^1024", 0xfff0000000000000, "overflows to minus infinity"},  // -inf
+      {"2^127+1", 0x47e0000000000000, "128-bit odd integer"},  // 1.7014118346046923e+38
+      {"2^200+2^147+1", 0x4c70000000000000, "201 bits: truncation tie"},  // 1.6069380442589903e+60
+      {"2^200+1/2^100", 0x4630000000000000, "201-bit numerator over 2^100"},  // 1.2676506002282294e+30
+      {"3*2^300+1/3", 0x52b0000000000000, "2^300 + 1/3"},  // 2.0370359763344861e+90
+      {"2^150+2^97+1/2^1200", 0x0000000001000000, "151-bit numerator over 2^1200"},  // 8.289046058458095e-317
+      {"2^546+3/2^6", 0x61b0000000000000, "phase-wait shape 2^540 + 3/64"},  // 3.5991310356345571e+162
+      {"2^100+1/2^50+3", 0x430fffffffffffe8, "non-dyadic, both parts over 62 bits"},  // 1125899906842621
+      {"-2^200-7/2^190+1", 0xc090000000000000, "non-dyadic, negative, wide"},  // -1024
+  };
+  for (const Pinned& row : table) {
+    const Rational value = parse_pinned(row.value);
+    EXPECT_TRUE(same_double_bits(value.to_double(), std::bit_cast<double>(row.bits)))
+        << row.value << " (" << row.shape << "): got " << value.to_double();
+    EXPECT_TRUE(same_double_bits(Filtered(value).to_double(), value.to_double())) << row.value;
   }
+  // The parser itself: a few rows spelled in plain decimal.
+  EXPECT_EQ(parse_pinned("2^62-1"), Rational(std::int64_t{4611686018427387903}));
+  EXPECT_EQ(parse_pinned("-2^62+1/2^61"), Rational::dyadic(-4611686018427387903, 61));
+  EXPECT_EQ(parse_pinned("3*2^300+1/3"), Rational::pow2(300) + Rational(BigInt(1), BigInt(3)));
 }
 
 TEST(FilteredKernel, PointProductMatchesDirectedHelpers) {
@@ -234,8 +293,9 @@ TEST(FilteredKernel, ExactOnlyModeAgreesWithFilteredLadder) {
     ExactOnlyGuard guard(true);
     const Filtered a(ra);
     const Filtered b(rb);
-    EXPECT_FALSE(a.in_dyadic_tier());
+    const std::uint64_t escapes_before = filter_stats().exact_escapes;
     EXPECT_EQ(a <=> b, filtered_order);
+    EXPECT_EQ(filter_stats().exact_escapes, escapes_before + 1);
   }
 }
 
@@ -267,25 +327,30 @@ TEST(FilteredKernel, EngineRunsAreByteIdenticalFilteredVsExactOnly) {
   EXPECT_TRUE(same_double_bits(filtered.b_position.y, exact.b_position.y));
 }
 
-TEST(FilteredKernel, Dyadic128ViewRoundTripsThroughRational) {
-  std::mt19937_64 rng(8086);
-  for (int round = 0; round < 2000; ++round) {
-    const Rational value = random_rational(rng);
-    __int128 mantissa = 0;
-    std::int64_t scale = 0;
-    if (!value.dyadic128_view(mantissa, scale)) continue;
-    EXPECT_EQ(Rational::from_dyadic128(mantissa, scale), value) << value.to_string();
+TEST(FilteredKernel, InlineTierDecidesUpTo127SignificantBits) {
+  // Near-ties the interval cannot split: the inline tier settles them while
+  // both values have at most 127 significant bits, the big tier beyond.
+  ExactOnlyGuard guard(false);
+  struct Case {
+    Rational lhs;
+    Rational rhs;
+    bool inline_tier;
+  };
+  const std::vector<Case> cases = {
+      {Rational::pow2(126) + Rational(1), Rational::pow2(126) + Rational(3), true},
+      {Rational::pow2(200), Rational::pow2(200) + Rational::pow2(74), true},  // 127 bits
+      {Rational::pow2(127) + Rational(1), Rational::pow2(127) + Rational(3), false},
+      {Rational::pow2(127) + Rational(2), Rational::pow2(127) + Rational(3), false},  // mixed
+  };
+  for (const Case& c : cases) {
+    EXPECT_EQ(c.lhs.is_inline() && c.rhs.is_inline(), c.inline_tier) << c.lhs.to_string();
+    FilterStats& stats = filter_stats();
+    const std::uint64_t limb2_before = stats.limb2_hits;
+    const std::uint64_t exact_before = stats.exact_escapes;
+    EXPECT_EQ(Filtered(c.lhs) <=> Filtered(c.rhs), c.lhs <=> c.rhs) << c.lhs.to_string();
+    EXPECT_EQ(stats.limb2_hits - limb2_before, c.inline_tier ? 1u : 0u) << c.lhs.to_string();
+    EXPECT_EQ(stats.exact_escapes - exact_before, c.inline_tier ? 0u : 1u) << c.lhs.to_string();
   }
-  // Wide-but-fitting and just-too-wide mantissas around the 127-bit cap.
-  __int128 mantissa = 0;
-  std::int64_t scale = 0;
-  EXPECT_TRUE((Rational::pow2(126) + Rational(1)).dyadic128_view(mantissa, scale));
-  EXPECT_EQ(Rational::from_dyadic128(mantissa, scale), Rational::pow2(126) + Rational(1));
-  EXPECT_FALSE((Rational::pow2(127) + Rational(1)).dyadic128_view(mantissa, scale));
-  // Trailing zeros rescue wide raw numerators: 2^200 has one significant bit.
-  EXPECT_TRUE(Rational::pow2(200).dyadic128_view(mantissa, scale));
-  EXPECT_EQ(Rational::from_dyadic128(mantissa, scale), Rational::pow2(200));
-  EXPECT_FALSE(Rational(BigInt(1), BigInt(3)).dyadic128_view(mantissa, scale));
 }
 
 }  // namespace

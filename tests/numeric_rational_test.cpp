@@ -115,29 +115,40 @@ TEST(Rational, ToStringFormats) {
 
 
 TEST(Rational, TierInvariants) {
-  // Any value whose reduced form fits int64-range magnitudes is stored in
-  // the inline tier; bigger values promote and demote transparently.
+  // Any dyadic with at most 127 significant bits is stored in the inline
+  // tier, whatever its magnitude; wider dyadics and every non-dyadic are
+  // big, and values promote and demote transparently.
   EXPECT_TRUE(Rational(0).is_inline());
   EXPECT_TRUE(Rational::dyadic(3, 40).is_inline());
   EXPECT_TRUE(Rational::pow2(61).is_inline());
-  EXPECT_FALSE(Rational::pow2(70).is_inline());
+  EXPECT_TRUE(Rational::pow2(70).is_inline());
+  EXPECT_TRUE(Rational::pow2(5000).is_inline());
+  EXPECT_FALSE((Rational::pow2(127) + Rational(1)).is_inline());
+  EXPECT_FALSE(Rational(BigInt(2), BigInt(3)).is_inline());
   // Arithmetic that cancels the huge parts demotes back to inline.
   const Rational huge = Rational::pow2(200) + Rational::dyadic(3, 5);
   EXPECT_FALSE(huge.is_inline());
   const Rational small_again = huge - Rational::pow2(200);
   EXPECT_TRUE(small_again.is_inline());
   EXPECT_EQ(small_again, Rational::dyadic(3, 5));
-  // Inline overflow promotes: (2^61)^2 = 2^122.
-  const Rational squared = Rational::pow2(61) * Rational::pow2(61);
+  // Inline overflow promotes: (2^64 + 1)^2 has 129 significant bits.
+  const Rational wide = Rational::pow2(64) + Rational(1);
+  const Rational squared = wide * wide;
   EXPECT_FALSE(squared.is_inline());
-  EXPECT_EQ(squared, Rational::pow2(122));
+  EXPECT_EQ(squared, Rational::pow2(128) + Rational::pow2(65) + Rational(1));
 }
 
 TEST(Rational, CrossTierArithmeticAndOrdering) {
-  const Rational small = Rational(BigInt(7), BigInt(3));
-  const Rational big = Rational(BigInt::pow2(100) + BigInt(1), BigInt::pow2(80));
+  const Rational small = Rational::dyadic(7, 3);
+  const Rational big = Rational(BigInt::pow2(200) + BigInt(1), BigInt::pow2(80));
   EXPECT_TRUE(small.is_inline());
   EXPECT_FALSE(big.is_inline());
+  // A small non-dyadic is big-tier too, and mixes with both.
+  const Rational third = Rational(BigInt(7), BigInt(3));
+  EXPECT_FALSE(third.is_inline());
+  EXPECT_LT(small, third);
+  EXPECT_EQ((third + small) - small, third);
+  EXPECT_EQ((third * small) / small, third);
   EXPECT_LT(small, big);
   EXPECT_GT(big, small);
   EXPECT_NE(small, big);
@@ -154,12 +165,14 @@ TEST(Rational, CrossTierArithmeticAndOrdering) {
 }
 
 TEST(Rational, InlineBoundaryPromotion) {
-  // Values straddling the 2^62 inline bound: arithmetic stays exact.
-  const Rational just_under = Rational((std::int64_t{1} << 62) - 1);
-  const Rational just_over = just_under + Rational(1);
+  // Values straddling the 127-significant-bit inline bound: arithmetic
+  // stays exact.
+  const Rational just_under = Rational(BigInt::pow2(127) - BigInt(1));
+  const Rational just_over = just_under + Rational(2);
   EXPECT_TRUE(just_under.is_inline());
-  EXPECT_EQ(just_over - just_under, Rational(1));
-  EXPECT_EQ(just_over.numerator(), BigInt::pow2(62));
+  EXPECT_FALSE(just_over.is_inline());
+  EXPECT_EQ(just_over - just_under, Rational(2));
+  EXPECT_EQ(just_over.numerator(), BigInt::pow2(127) + BigInt(1));
   // Long long constructor beyond the bound promotes.
   const Rational max_ll(std::numeric_limits<long long>::max());
   EXPECT_EQ(max_ll.numerator(), BigInt(std::numeric_limits<long long>::max()));
