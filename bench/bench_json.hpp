@@ -1,17 +1,13 @@
-// Minimal JSON emission for the committed benchmark baseline files.
+// JSON capture of a google-benchmark run for the committed baseline file.
 //
-// `micro_kernels --json[=path]` writes a flat { benchmark name -> ns/op }
-// object (default path BENCH_micro.json), and `campaign_throughput` does
-// the same into BENCH_campaign.json. The committed BENCH_*.json files at
-// the repo root are the perf trajectory: each optimization PR re-runs the
-// kernels and updates them, so regressions are visible in review as a diff.
-//
-// The JSON-writing half of this header is dependency-free; the
-// JsonCaptureReporter needs google-benchmark, so it is only compiled when
-// the including TU has already pulled in <benchmark/benchmark.h> (as
-// micro_kernels does, under AURV_BENCH). Plain chrono-based benches like
-// campaign_throughput just call write_json and never link the library.
+// `micro_kernels --json[=path]` writes a flat { row name -> value } object
+// (default path BENCH_micro.json). The committed BENCH_micro.json at the
+// repo root is the micro-kernel trajectory: each optimization PR re-runs
+// the kernels and updates it, so regressions are visible in review as a
+// diff. End-to-end throughput is measured by perfbench/ (BENCHMARK.json).
 #pragma once
+
+#include <benchmark/benchmark.h>
 
 #include <cstdio>
 #include <map>
@@ -20,8 +16,6 @@
 #include <vector>
 
 namespace aurv::bench {
-
-#ifdef BENCHMARK_BENCHMARK_H_  // <benchmark/benchmark.h> include guard
 
 namespace detail {
 
@@ -40,56 +34,49 @@ auto run_errored(const RunT& run, long) -> decltype(run.skipped != RunT::NotSkip
 
 }  // namespace detail
 
-/// Console reporter that additionally collects adjusted real time per
-/// benchmark (in the benchmark's time unit; all kernels here use the
-/// default, nanoseconds).
+/// Console reporter that additionally collects, per row, the adjusted real
+/// time in ns/op and every plain (non-rate) user counter. Under
+/// --benchmark_repetitions=N the `median` aggregate, reported after the
+/// repetitions, overwrites the last repetition under the row's plain name;
+/// a single repetition has no aggregates. Counters are workload quality
+/// numbers (prune rate, frontier high-water), identical at every worker
+/// count by the determinism invariant, so they are keyed by family as
+/// `<family>/<counter>`. Errored rows are left out.
 class JsonCaptureReporter : public benchmark::ConsoleReporter {
  public:
   void ReportRuns(const std::vector<Run>& runs) override {
     for (const Run& run : runs) {
-      if (detail::run_errored(run, 0)) continue;
-      if (run.run_type != Run::RT_Iteration) continue;  // skip aggregates
-      if (run.iterations == 0) continue;
+      if (detail::run_errored(run, 0) || run.iterations == 0) continue;
+      const bool median = run.run_type == Run::RT_Aggregate && run.aggregate_name == "median";
+      if (run.run_type != Run::RT_Iteration && !median) continue;
       // Normalize to ns/op regardless of the benchmark's display time unit
       // (real_accumulated_time is in seconds).
-      results_[run.benchmark_name()] =
+      results_[run.run_name.str()] =
           run.real_accumulated_time / static_cast<double>(run.iterations) * 1e9;
+      for (const auto& [name, counter] : run.counters) {
+        if ((counter.flags & benchmark::Counter::kIsRate) != 0) continue;
+        results_[run.run_name.function_name + "/" + name] = counter.value;
+      }
     }
     ConsoleReporter::ReportRuns(runs);
   }
 
-  [[nodiscard]] const std::map<std::string, double>& results() const { return results_; }
+  /// Writes { "schema": 1, "unit": "ns/op", "benchmarks": { name: value } }.
+  void write(const std::string& path) const {
+    std::FILE* file = std::fopen(path.c_str(), "w");
+    if (file == nullptr) throw std::runtime_error("bench_json: cannot open " + path);
+    std::fprintf(file, "{\n  \"schema\": 1,\n  \"unit\": \"ns/op\",\n  \"benchmarks\": {\n");
+    std::size_t index = 0;
+    for (const auto& [name, value] : results_) {
+      std::fprintf(file, "    \"%s\": %.2f%s\n", name.c_str(), value,
+                   ++index < results_.size() ? "," : "");
+    }
+    std::fprintf(file, "  }\n}\n");
+    std::fclose(file);
+  }
 
  private:
   std::map<std::string, double> results_;
 };
-
-#endif  // BENCHMARK_BENCHMARK_H_
-
-/// Escapes the handful of characters benchmark names can contain that JSON
-/// strings cannot hold verbatim.
-inline std::string json_escape(const std::string& text) {
-  std::string out;
-  out.reserve(text.size());
-  for (const char c : text) {
-    if (c == '"' || c == '\\') out.push_back('\\');
-    out.push_back(c);
-  }
-  return out;
-}
-
-/// Writes { "schema": 1, "unit": "ns/op", "benchmarks": { name: ns, ... } }.
-inline void write_json(const std::string& path, const std::map<std::string, double>& results) {
-  std::FILE* file = std::fopen(path.c_str(), "w");
-  if (file == nullptr) throw std::runtime_error("bench_json: cannot open " + path);
-  std::fprintf(file, "{\n  \"schema\": 1,\n  \"unit\": \"ns/op\",\n  \"benchmarks\": {\n");
-  std::size_t index = 0;
-  for (const auto& [name, ns] : results) {
-    std::fprintf(file, "    \"%s\": %.2f%s\n", json_escape(name).c_str(), ns,
-                 ++index < results.size() ? "," : "");
-  }
-  std::fprintf(file, "  }\n}\n");
-  std::fclose(file);
-}
 
 }  // namespace aurv::bench

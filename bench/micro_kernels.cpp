@@ -1,12 +1,16 @@
 // KERN — google-benchmark micro-kernels for the library's hot paths: exact
 // rational time arithmetic, the closest-approach solver, instruction-stream
-// generation, and end-to-end simulator event throughput.
+// generation, end-to-end simulator event throughput, and the search and
+// gathering-census rows perfbench/ does not cover (tuple-family search,
+// spilled frontier, gathering census).
 //
 // Run with --json[=path] to additionally write a flat { name -> ns/op }
 // baseline file (default BENCH_micro.json); see bench/bench_json.hpp.
 #include <benchmark/benchmark.h>
 
 #include <cstring>
+#include <filesystem>
+#include <random>
 #include <string>
 
 #include "bench_json.hpp"
@@ -14,6 +18,9 @@
 #include "algo/cow_walk.hpp"
 #include "core/almost_universal.hpp"
 #include "algo/latecomers.hpp"
+#include "exp/search_driver.hpp"
+#include "gatherx/census.hpp"
+#include "gatherx/scenario.hpp"
 #include "gather/engine.hpp"
 #include "geom/closest_approach.hpp"
 #include "sim/batch.hpp"
@@ -193,7 +200,7 @@ void BM_BatchSweepScaling(benchmark::State& state) {
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) * 24 * 20'000);
 }
-BENCHMARK(BM_BatchSweepScaling)->Arg(1)->Arg(4)->Arg(16);
+BENCHMARK(BM_BatchSweepScaling)->Arg(1)->Arg(4)->Arg(16)->UseRealTime();
 
 void BM_BatchSweepThousand(benchmark::State& state) {
   // The acceptance workload for numeric-stack optimizations: a sweep of
@@ -216,7 +223,7 @@ void BM_BatchSweepThousand(benchmark::State& state) {
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(events));
 }
-BENCHMARK(BM_BatchSweepThousand)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_BatchSweepThousand)->Unit(benchmark::kMillisecond)->UseRealTime();
 
 void BM_FilteredEngineThroughput(benchmark::State& state) {
   // End-to-end events/second of the exact-time engine: a never-meeting
@@ -249,6 +256,135 @@ BENCHMARK(BM_FilteredEngineThroughput)
     ->Args({100'000, 0})
     ->Args({100'000, 1});
 
+// -- search and gathering-census rows ---------------------------------------
+// One iteration is one whole run, so ns/op is per search or census; the
+// console's items/s is boxes/s or runs/s. Threaded rows time wall-clock
+// (UseRealTime), since the main thread's CPU time says nothing of the
+// workers. A run that comes back short is an error, not a fast row.
+
+aurv::exp::SearchSpec search_bench_spec() {
+  // The type-1 worst-meet-time shape (tuple space over (x, t) straddling
+  // the t = |x| - r feasibility boundary): per-box cost is one short
+  // engine run, so wave assembly, bound evaluation, frontier maintenance
+  // and in-order merging are a visible fraction.
+  aurv::exp::SearchSpec spec;
+  spec.name = "bench_search_tuple";
+  spec.algorithm = "aurv";
+  spec.objective = "max-meet-time";
+  spec.space.family = aurv::search::SearchSpace::Family::Tuple;
+  spec.space.chi = -1;
+  spec.space.fixed = {{"r", Rational(1)},
+                      {"y", Rational(BigInt(6), BigInt(5))},
+                      {"phi", Rational(0)}};
+  spec.space.dim_names = {"x", "t"};
+  spec.box = {aurv::search::Interval{Rational(BigInt(3), BigInt(2)),
+                                     Rational(BigInt(7), BigInt(2))},
+              aurv::search::Interval{Rational(0), Rational(3)}};
+  spec.limits.max_boxes = 20'000;
+  spec.limits.wave_size = 64;
+  spec.limits.min_width = Rational(BigInt(1), BigInt(1u << 20));
+  spec.engine.max_events = 2'000'000;
+  spec.engine.horizon = Rational(256);
+  return spec;
+}
+
+void run_search_row(benchmark::State& state, const aurv::exp::SearchOptions& options) {
+  const aurv::exp::SearchSpec spec = search_bench_spec();
+  aurv::exp::SearchRunResult result;
+  for (auto _ : state) {
+    result = aurv::exp::run_search(spec, options);
+    if (result.bnb.stats.evaluated != spec.limits.max_boxes) {
+      state.SkipWithError("short run: evaluated != max_boxes");
+      return;
+    }
+  }
+  const auto evaluated = static_cast<double>(result.bnb.stats.evaluated);
+  const auto pruned = static_cast<double>(result.bnb.stats.pruned);
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(spec.limits.max_boxes));
+  // Search quality, not time: a weaker bound shows up as a lower prune
+  // rate; the high-water mark is the memory an unspilled search needs.
+  state.counters["prune_rate_pct"] = 100.0 * pruned / (evaluated + pruned);
+  state.counters["frontier_high_water_boxes"] =
+      static_cast<double>(result.bnb.stats.max_frontier);
+  if (!options.spill_dir.empty()) {
+    state.counters["hot_high_water_boxes"] =
+        static_cast<double>(result.bnb.frontier_hot_high_water);
+  }
+}
+
+void BM_SearchBnb(benchmark::State& state) {
+  aurv::exp::SearchOptions options;
+  options.max_shards = static_cast<std::size_t>(state.range(0));
+  run_search_row(state, options);
+}
+BENCHMARK(BM_SearchBnb)
+    ->ArgName("shards")
+    ->Arg(1)
+    ->Arg(4)
+    ->Unit(benchmark::kMillisecond)
+    ->UseRealTime();
+
+void BM_SearchBnbSpill(benchmark::State& state) {
+  // The same search with the hot set capped at 64 boxes and the cold tail
+  // in JSONL disk segments: the delta against BM_SearchBnb/shards:1 is the
+  // spill overhead, hot_high_water_boxes the resident memory achieved.
+  // Random-suffixed: SpillDeque directories are single-owner, and two
+  // bench processes on one machine must not sweep each other's segments.
+  struct TempDirJanitor {  // cleans up even when the spilled run throws
+    std::string path;
+    ~TempDirJanitor() {
+      std::error_code ec;
+      std::filesystem::remove_all(path, ec);
+    }
+  } janitor{(std::filesystem::temp_directory_path() /
+             ("micro_kernels_spill." + std::to_string(std::random_device{}())))
+                .string()};
+  aurv::exp::SearchOptions options;
+  options.max_shards = static_cast<std::size_t>(state.range(0));
+  options.spill_dir = janitor.path;
+  options.frontier_mem = 64;
+  run_search_row(state, options);
+}
+BENCHMARK(BM_SearchBnbSpill)
+    ->ArgName("shards")
+    ->Arg(1)
+    ->Unit(benchmark::kMillisecond)
+    ->UseRealTime();
+
+void BM_GatherCensus(benchmark::State& state) {
+  // A disk census of latecomers chains (2-4 agents) through both stop
+  // policies on the sharded census runner.
+  aurv::gatherx::GatherScenarioSpec spec;
+  spec.name = "bench_gather_census";
+  spec.algorithm = "latecomers";
+  spec.seed = 99;
+  spec.sampler = "disk";
+  spec.count = 5'000;
+  spec.ranges.n_min = 2;
+  spec.ranges.n_max = 4;
+  spec.ranges.wake_max = 6.0;
+  spec.max_events = 500'000;
+  spec.horizon = Rational(2048);
+  const std::uint64_t total_runs = spec.total_jobs() * spec.policies.size();
+  aurv::gatherx::CensusOptions options;
+  options.threads = static_cast<std::size_t>(state.range(0));
+  for (auto _ : state) {
+    const aurv::gatherx::CensusResult result = aurv::gatherx::run_census(spec, options);
+    if (result.aggregate.first_sight.runs + result.aggregate.all_visible.runs != total_runs) {
+      state.SkipWithError("short run: runs != total_jobs");
+      return;
+    }
+  }
+  state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(total_runs));
+}
+BENCHMARK(BM_GatherCensus)
+    ->ArgName("threads")
+    ->Arg(1)
+    ->Arg(4)
+    ->Unit(benchmark::kMillisecond)
+    ->UseRealTime();
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -273,7 +409,7 @@ int main(int argc, char** argv) {
     aurv::bench::JsonCaptureReporter reporter;
     benchmark::RunSpecifiedBenchmarks(&reporter);
     try {
-      aurv::bench::write_json(json_path, reporter.results());
+      reporter.write(json_path);
     } catch (const std::exception& error) {
       std::fprintf(stderr, "error: %s\n", error.what());
       return 1;
