@@ -9,9 +9,10 @@
 //       --jsonl PATH         per-run JSONL records, in job order
 //       --checkpoint PATH    checkpoint file (enables --resume)
 //       --checkpoint-every K checkpoint every K shards (default 64)
-//       --resume             continue from the checkpoint; a missing,
-//                            truncated or foreign checkpoint is refused
-//                            with one structured stderr line (exit 5)
+//       --resume             continue from the checkpoint; no --checkpoint,
+//                            or a missing, truncated or foreign checkpoint,
+//                            is refused with one structured stderr line
+//                            (exit 5)
 //       --shard-size K       jobs per shard (default 256)
 //       --max-shards K       stop after K shards (incremental execution)
 //       --quiet              no progress on stderr
@@ -42,9 +43,10 @@
 //       --compact-every K    compact the wave journal into a fresh base
 //                            every K waves (default 16; --checkpoint-every
 //                            is an alias)
-//       --resume             continue from the checkpoint; a missing,
-//                            truncated or foreign checkpoint is refused
-//                            with one structured stderr line (exit 5)
+//       --resume             continue from the checkpoint; no --checkpoint,
+//                            or a missing, truncated or foreign checkpoint,
+//                            is refused with one structured stderr line
+//                            (exit 5)
 //       --max-waves K        stop after K waves (incremental execution)
 //       --spill-dir PATH     spill the cold frontier tail to JSONL segment
 //                            files in PATH (in-memory frontier otherwise);
@@ -241,24 +243,26 @@ int cmd_search(int argc, char** argv) {
 
   telemetry_cli.open_trace();
 
-  telemetry::Timer& load_timer = telemetry::registry().timer("phase.load");
-  telemetry::Timer& run_timer = telemetry::registry().timer("phase.run");
-  telemetry::Timer& emit_timer = telemetry::registry().timer("phase.emit");
-
   std::optional<exp::SearchSpec> loaded;
   {
-    const telemetry::ScopedTimer time_load(load_timer);
     const support::trace::Span span("load", "phase",
                                     support::trace::Span::Options{.announce = true});
     loaded.emplace(exp::SearchSpec::load(spec_path));
   }
   const exp::SearchSpec& spec = *loaded;
-  std::optional<telemetry::Heartbeat> heartbeat =
-      telemetry_cli.start_heartbeat("search", spec_path);
+  telemetry::RunManifest manifest;
+  manifest.kind = "search";
+  manifest.spec_path = spec_path;
+  manifest.fingerprint = support::fingerprint_hex(spec.fingerprint());
+  manifest.threads = resolved_threads(options.max_shards);
+  manifest.extra.set("max_waves", support::Json(static_cast<std::uint64_t>(options.max_waves)));
+  manifest.extra.set("spill_dir", support::Json(options.spill_dir));
+  manifest.extra.set("frontier_mem",
+                     support::Json(static_cast<std::uint64_t>(options.frontier_mem)));
+  manifest.extra.set("resume", support::Json(options.resume));
+  std::optional<telemetry::Heartbeat> heartbeat = telemetry_cli.start_heartbeat(manifest);
   // Held to end of scope: scraping stays live through emit + metrics.
-  const auto statusd = telemetry_cli.start_statusd(
-      "search", spec_path, support::fingerprint_hex(spec.fingerprint()),
-      resolved_threads(options.max_shards));
+  const auto statusd = telemetry_cli.start_statusd(manifest);
   if (!quiet) {
     options.progress = [](std::uint64_t evaluated, std::uint64_t open) {
       std::fprintf(stderr, "\r%llu boxes evaluated, %llu open   ",
@@ -269,7 +273,6 @@ int cmd_search(int argc, char** argv) {
 
   std::optional<exp::SearchRunResult> run;
   {
-    const telemetry::ScopedTimer time_run(run_timer);
     const support::trace::Span span("run", "phase",
                                     support::trace::Span::Options{.announce = true});
     run.emplace(exp::run_search(spec, options));
@@ -289,7 +292,6 @@ int cmd_search(int argc, char** argv) {
                  result.bnb.frontier_degradation.c_str());
 
   {
-    const telemetry::ScopedTimer time_emit(emit_timer);
     const support::trace::Span span("emit", "phase",
                                     support::trace::Span::Options{.announce = true});
     const support::Json certificate = result.certificate(spec);
@@ -302,17 +304,6 @@ int cmd_search(int argc, char** argv) {
   }
   // Seal the trace before the snapshot so its trace.* counters are final.
   telemetry_cli.close_trace(quiet);
-
-  telemetry::RunManifest manifest;
-  manifest.kind = "search";
-  manifest.spec_path = spec_path;
-  manifest.fingerprint = support::fingerprint_hex(spec.fingerprint());
-  manifest.threads = resolved_threads(options.max_shards);
-  manifest.extra.set("max_waves", support::Json(static_cast<std::uint64_t>(options.max_waves)));
-  manifest.extra.set("spill_dir", support::Json(options.spill_dir));
-  manifest.extra.set("frontier_mem",
-                     support::Json(static_cast<std::uint64_t>(options.frontier_mem)));
-  manifest.extra.set("resume", support::Json(options.resume));
   telemetry_cli.write_metrics(manifest, wall_ms_since(started), quiet);
 
   return result.bnb.complete() ? 0 : 4;  // 4 = stopped early (max_waves)
@@ -354,13 +345,8 @@ int cmd_run(int argc, char** argv) {
 
   telemetry_cli.open_trace();
 
-  telemetry::Timer& load_timer = telemetry::registry().timer("phase.load");
-  telemetry::Timer& run_timer = telemetry::registry().timer("phase.run");
-  telemetry::Timer& emit_timer = telemetry::registry().timer("phase.emit");
-
   support::Json spec_json;
   {
-    const telemetry::ScopedTimer time_load(load_timer);
     const support::trace::Span span("load", "phase",
                                     support::trace::Span::Options{.announce = true});
     try {
@@ -382,41 +368,54 @@ int cmd_run(int argc, char** argv) {
 
   // The two sweep kinds share the whole invocation surface; only the spec
   // type and runner differ.
-  const auto report = [&](std::uint64_t jobs, std::uint64_t jobs_run,
-                          std::uint64_t resumed_shards, bool complete) {
-    if (quiet) return;
-    std::fprintf(stderr, "\r%llu/%llu jobs done (%llu run now%s)\n",
-                 static_cast<unsigned long long>(
-                     complete ? jobs : resumed_shards * options.shard_size + jobs_run),
-                 static_cast<unsigned long long>(jobs),
-                 static_cast<unsigned long long>(jobs_run),
-                 resumed_shards > 0 ? ", resumed" : "");
-  };
-  const auto emit = [&](const support::Json& summary) {
-    const telemetry::ScopedTimer time_emit(emit_timer);
-    const support::trace::Span span("emit", "phase",
-                                    support::trace::Span::Options{.announce = true});
-    if (out_path.empty()) {
-      std::printf("%s", summary.dump(2).c_str());
-    } else {
-      summary.save_file(out_path);
-      if (!quiet) std::fprintf(stderr, "summary written to %s\n", out_path.c_str());
-    }
-  };
-  const auto write_metrics = [&](const char* kind, std::uint64_t fingerprint) {
-    // Seal the trace before the snapshot so its trace.* counters are final.
-    telemetry_cli.close_trace(quiet);
+  const auto sweep = [&](const char* kind, const auto& spec, const auto& run_sweep) {
     telemetry::RunManifest manifest;
     manifest.kind = kind;
     manifest.spec_path = spec_path;
-    manifest.fingerprint = support::fingerprint_hex(fingerprint);
+    manifest.fingerprint = support::fingerprint_hex(spec.fingerprint());
     manifest.threads = resolved_threads(options.threads);
     manifest.extra.set("shard_size",
                        support::Json(static_cast<std::uint64_t>(options.shard_size)));
     manifest.extra.set("checkpoint_every",
                        support::Json(static_cast<std::uint64_t>(options.checkpoint_every)));
     manifest.extra.set("resume", support::Json(options.resume));
+    std::optional<telemetry::Heartbeat> heartbeat = telemetry_cli.start_heartbeat(manifest);
+    // Held to end of scope: scraping stays live through emit + metrics.
+    const auto statusd = telemetry_cli.start_statusd(manifest);
+
+    std::optional<decltype(run_sweep(spec, options))> run;
+    {
+      const support::trace::Span span("run", "phase",
+                                      support::trace::Span::Options{.announce = true});
+      run.emplace(run_sweep(spec, options));
+    }
+    const auto& result = *run;
+    if (heartbeat.has_value()) heartbeat->stop();
+    if (!quiet) {
+      std::fprintf(stderr, "\r%llu/%llu jobs done (%llu run now%s)\n",
+                   static_cast<unsigned long long>(
+                       result.complete ? result.jobs
+                                       : result.resumed_shards * options.shard_size +
+                                             result.jobs_run),
+                   static_cast<unsigned long long>(result.jobs),
+                   static_cast<unsigned long long>(result.jobs_run),
+                   result.resumed_shards > 0 ? ", resumed" : "");
+    }
+    {
+      const support::trace::Span span("emit", "phase",
+                                      support::trace::Span::Options{.announce = true});
+      const support::Json summary = result.summary(spec);
+      if (out_path.empty()) {
+        std::printf("%s", summary.dump(2).c_str());
+      } else {
+        summary.save_file(out_path);
+        if (!quiet) std::fprintf(stderr, "summary written to %s\n", out_path.c_str());
+      }
+    }
+    // Seal the trace before the snapshot so its trace.* counters are final.
+    telemetry_cli.close_trace(quiet);
     telemetry_cli.write_metrics(manifest, wall_ms_since(started), quiet);
+    return result.complete ? 0 : 4;  // 4 = stopped early (max_shards)
   };
 
   if (spec_json.string_or("kind", "") == "gather-census") {
@@ -426,24 +425,9 @@ int cmd_run(int argc, char** argv) {
     } catch (const std::exception& error) {
       throw std::invalid_argument(spec_path + ": " + error.what());
     }
-    std::optional<telemetry::Heartbeat> heartbeat =
-        telemetry_cli.start_heartbeat("gather-census", spec_path);
-    const auto statusd = telemetry_cli.start_statusd(
-        "gather-census", spec_path, support::fingerprint_hex(spec.fingerprint()),
-        resolved_threads(options.threads));
-    std::optional<gatherx::CensusResult> run;
-    {
-      const telemetry::ScopedTimer time_run(run_timer);
-      const support::trace::Span span("run", "phase",
-                                      support::trace::Span::Options{.announce = true});
-      run.emplace(gatherx::run_census(spec, options));
-    }
-    const gatherx::CensusResult& result = *run;
-    if (heartbeat.has_value()) heartbeat->stop();
-    report(result.jobs, result.jobs_run, result.resumed_shards, result.complete);
-    emit(result.summary(spec));
-    write_metrics("gather-census", spec.fingerprint());
-    return result.complete ? 0 : 4;  // 4 = stopped early (max_shards)
+    return sweep("gather-census", spec, [](const auto& census, const auto& run_options) {
+      return gatherx::run_census(census, run_options);
+    });
   }
 
   exp::ScenarioSpec spec;
@@ -452,24 +436,9 @@ int cmd_run(int argc, char** argv) {
   } catch (const std::exception& error) {
     throw std::invalid_argument(spec_path + ": " + error.what());
   }
-  std::optional<telemetry::Heartbeat> heartbeat =
-      telemetry_cli.start_heartbeat("campaign", spec_path);
-  const auto statusd = telemetry_cli.start_statusd(
-      "campaign", spec_path, support::fingerprint_hex(spec.fingerprint()),
-      resolved_threads(options.threads));
-  std::optional<exp::CampaignResult> run;
-  {
-    const telemetry::ScopedTimer time_run(run_timer);
-    const support::trace::Span span("run", "phase",
-                                    support::trace::Span::Options{.announce = true});
-    run.emplace(exp::run_campaign(spec, options));
-  }
-  const exp::CampaignResult& result = *run;
-  if (heartbeat.has_value()) heartbeat->stop();
-  report(result.jobs, result.jobs_run, result.resumed_shards, result.complete);
-  emit(result.summary(spec));
-  write_metrics("campaign", spec.fingerprint());
-  return result.complete ? 0 : 4;  // 4 = stopped early (max_shards)
+  return sweep("campaign", spec, [](const auto& campaign, const auto& run_options) {
+    return exp::run_campaign(campaign, run_options);
+  });
 }
 
 }  // namespace

@@ -8,8 +8,10 @@
 // None of these can change an artifact byte — heartbeats go to stderr,
 // the snapshot and the trace to their own files, the status server only
 // reads and answers sockets, and both the trace sink and the server
-// degrade soft on failure (PR 7's hard invariant: observation never
-// perturbs a deterministic artifact).
+// degrade soft on failure (the observer invariant: observation never
+// perturbs a deterministic artifact). A command builds one
+// telemetry::RunManifest and hands it to the heartbeat, the status
+// server and the metrics snapshot.
 #pragma once
 
 #include <chrono>
@@ -93,12 +95,14 @@ struct TelemetryCli {
       std::fprintf(stderr, "trace written to %s\n", trace_out.c_str());
   }
 
+  /// Starts the heartbeat when `--progress` asked for one; every beat
+  /// names the run's kind and spec.
   [[nodiscard]] std::optional<telemetry::Heartbeat> start_heartbeat(
-      std::string kind, std::string spec) const {
+      const telemetry::RunManifest& manifest) const {
     if (heartbeat_s <= 0) return std::nullopt;
     telemetry::HeartbeatConfig config;
     config.interval_s = heartbeat_s;
-    config.extra = [kind = std::move(kind), spec = std::move(spec)] {
+    config.extra = [kind = manifest.kind, spec = manifest.spec_path] {
       support::Json extra = support::Json::object();
       extra.set("kind", support::Json(kind));
       extra.set("spec", support::Json(spec));
@@ -119,15 +123,11 @@ struct TelemetryCli {
   /// bind fails soft (one stderr warning + `statusd.dropped`) — callers
   /// just hold the handle; destruction stops the server.
   [[nodiscard]] std::unique_ptr<support::statusd::StatusServer> start_statusd(
-      std::string kind, std::string spec, std::string fingerprint,
-      std::uint64_t threads) const {
+      const telemetry::RunManifest& manifest) const {
     if (status_port < 0) return nullptr;
     support::statusd::Config config;
     config.port = status_port;
-    config.run.kind = std::move(kind);
-    config.run.spec = std::move(spec);
-    config.run.fingerprint = std::move(fingerprint);
-    config.run.threads = threads;
+    config.run = manifest;
     return support::statusd::StatusServer::start(std::move(config));
   }
 };

@@ -47,7 +47,9 @@ struct CampaignOptions {
   /// Write the checkpoint every this many completed shards (>= 1).
   std::size_t checkpoint_every = 64;
 
-  /// Continue from checkpoint_path if it exists (fresh start otherwise).
+  /// Continue from checkpoint_path. An empty path, a missing or
+  /// unreadable checkpoint, or a foreign one is refused with a
+  /// support::CheckpointError instead of silently starting over.
   bool resume = false;
 
   /// Stop after flushing this many shards in *this* invocation (0 = run to

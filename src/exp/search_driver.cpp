@@ -21,21 +21,9 @@ SearchRunResult run_search(const SearchSpec& spec, const SearchOptions& options)
   const std::unique_ptr<search::Objective> objective = search::make_objective(
       spec.objective, spec.space, search_algorithm_resolver(spec), spec.engine);
 
-  search::BnbOptions bnb_options;
-  bnb_options.max_shards = options.max_shards;
-  bnb_options.incumbent_log_path = options.incumbent_log_path;
-  bnb_options.provenance_path = options.provenance_path;
-  bnb_options.checkpoint_path = options.checkpoint_path;
-  bnb_options.checkpoint_every = options.checkpoint_every;
-  bnb_options.resume = options.resume;
-  bnb_options.spill_dir = options.spill_dir;
-  bnb_options.frontier_mem = options.frontier_mem;
-  bnb_options.spill_max_segments = options.spill_max_segments;
-  bnb_options.frontier_degraded_capacity = options.frontier_degraded_capacity;
-  bnb_options.max_waves = options.max_waves;
+  search::BnbOptions bnb_options = options;
   bnb_options.fingerprint = support::fingerprint_hex(spec.fingerprint());
   bnb_options.dim_names = spec.space.dim_names;
-  bnb_options.progress = options.progress;
 
   SearchRunResult result;
   result.bnb = search::run_bnb(spec.root_box(), *objective, spec.limits, bnb_options);

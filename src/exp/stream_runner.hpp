@@ -30,7 +30,6 @@
 #include "support/check.hpp"
 #include "support/jsonl.hpp"
 #include "support/parallel.hpp"
-#include "support/statusd.hpp"
 #include "support/telemetry.hpp"
 #include "support/trace.hpp"
 
@@ -108,24 +107,8 @@ template <typename Aggregate, typename RunJob>
   };
 
   CheckpointState state;  // completed prefix (empty unless resuming)
-  if (options.resume && !options.checkpoint_path.empty()) {
-    // An explicit --resume with nothing (usable) to resume is refused
-    // with a structured error instead of silently starting over:
-    // restarting would truncate the very stream the caller asked to
-    // extend.
-    if (!support::vfs().exists(options.checkpoint_path))
-      throw support::CheckpointError(
-          options.checkpoint_path,
-          "missing (no checkpoint at this path; run without --resume to start fresh)");
-    Json checkpoint;
-    try {
-      checkpoint = Json::load_file(options.checkpoint_path);
-    } catch (const support::JsonError& error) {
-      throw support::CheckpointError(
-          options.checkpoint_path,
-          std::string("unreadable or truncated (") + error.what() + ")");
-    }
-    state = checkpoint_from_json(checkpoint);
+  if (options.resume) {
+    state = checkpoint_from_json(support::load_resume_checkpoint(options.checkpoint_path));
     if (state.completed_shards > total_shards)
       throw std::invalid_argument("checkpoint: more shards than the stream has");
   }
@@ -137,30 +120,16 @@ template <typename Aggregate, typename RunJob>
   // Telemetry: jobs are tallied into a shard-local accumulator in `body`
   // and folded into the registry by `complete`, which run_sharded calls
   // strictly in shard order — so even the intermediate counter sequence
-  // is thread-count-invariant. Gauges track progress for the heartbeat.
+  // is thread-count-invariant. Gauges track progress for the heartbeat
+  // and /status.
   namespace telemetry = support::telemetry;
   telemetry::Counter& shards_counter = telemetry::registry().counter("runner.shards");
   telemetry::Counter& checkpoints_counter = telemetry::registry().counter("runner.checkpoints");
   telemetry::Gauge& jobs_done_gauge = telemetry::registry().gauge("runner.jobs_done");
   telemetry::Gauge& jobs_total_gauge = telemetry::registry().gauge("runner.jobs_total");
-  telemetry::Timer& checkpoint_timer = telemetry::registry().timer("runner.checkpoint_write");
   jobs_total_gauge.set(static_cast<std::int64_t>(total_jobs));
   jobs_done_gauge.set(
       static_cast<std::int64_t>(std::min(total_jobs, state.completed_shards * options.shard_size)));
-
-  // Live /status progress for the embedded status server: reads only
-  // registry atomics (process-lifetime objects), unregistered — blocking
-  // on any in-flight scrape — when this frame unwinds.
-  const support::statusd::ScopedProgress progress_provider(
-      "runner", [&jobs_done_gauge, &jobs_total_gauge, &shards_counter] {
-        Json progress = Json::object();
-        progress.set("jobs_done", Json(static_cast<std::uint64_t>(
-                                      std::max<std::int64_t>(0, jobs_done_gauge.value()))));
-        progress.set("jobs_total", Json(static_cast<std::uint64_t>(
-                                       std::max<std::int64_t>(0, jobs_total_gauge.value()))));
-        progress.set("shards", Json(shards_counter.value()));
-        return progress;
-      });
 
   const std::uint64_t start_shard = state.completed_shards;
   std::uint64_t end_shard = total_shards;
@@ -237,7 +206,6 @@ template <typename Aggregate, typename RunJob>
     if (!options.checkpoint_path.empty() &&
         ((shard + 1) % options.checkpoint_every == 0 || shard + 1 == total_shards)) {
       jsonl.flush();
-      const telemetry::ScopedTimer time_checkpoint(checkpoint_timer);
       const support::trace::Span span("checkpoint", "runner",
                                       support::trace::Span::Options{.announce = true});
       support::save_json_atomically(options.checkpoint_path, checkpoint_to_json(state));
@@ -264,7 +232,6 @@ template <typename Aggregate, typename RunJob>
   result.complete = state.completed_shards == total_shards;
   if (!result.complete && !options.checkpoint_path.empty()) {
     jsonl.flush();
-    const telemetry::ScopedTimer time_checkpoint(checkpoint_timer);
     const support::trace::Span span("checkpoint", "runner",
                                     support::trace::Span::Options{.announce = true});
     support::save_json_atomically(options.checkpoint_path, checkpoint_to_json(state));

@@ -1,7 +1,6 @@
 #include "search/bnb.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <cmath>
 #include <filesystem>
 #include <fstream>
@@ -16,7 +15,6 @@
 #include "support/jsonl.hpp"
 #include "support/parallel.hpp"
 #include "support/spill.hpp"
-#include "support/statusd.hpp"
 #include "support/telemetry.hpp"
 #include "support/trace.hpp"
 
@@ -428,36 +426,6 @@ BnbResult run_bnb(const ParamBox& root, const Objective& objective, const BnbLim
   telemetry::Gauge& frontier_high_water_gauge = metrics.gauge("search.frontier_high_water");
   telemetry::Gauge& frontier_spilled_gauge = metrics.gauge("search.frontier_spilled");
   telemetry::Gauge& frontier_degraded_gauge = metrics.gauge("search.frontier_degraded");
-  telemetry::Timer& wave_timer = metrics.timer("search.wave");
-  telemetry::Timer& checkpoint_timer = metrics.timer("search.checkpoint");
-
-  // Live /status progress for the embedded status server: a shadow of the
-  // wave-end state in relaxed atomics. Written only on the serialized
-  // side (post-wave bookkeeping below), read only by the server thread —
-  // it can never feed back into the search. The provider unregisters —
-  // blocking on any in-flight scrape — when this frame unwinds.
-  struct LiveProgress {
-    std::atomic<std::uint64_t> waves{0};
-    std::atomic<std::uint64_t> evaluated{0};
-    std::atomic<std::uint64_t> open{0};
-    std::atomic<std::uint64_t> spilled{0};
-    std::atomic<bool> degraded{false};
-    std::atomic<bool> incumbent_found{false};
-    std::atomic<double> incumbent_score{0.0};
-  } live;
-  const support::statusd::ScopedProgress progress_provider("search", [&live] {
-    Json progress = Json::object();
-    progress.set("waves", Json(live.waves.load(std::memory_order_relaxed)));
-    progress.set("evaluated", Json(live.evaluated.load(std::memory_order_relaxed)));
-    progress.set("frontier_open", Json(live.open.load(std::memory_order_relaxed)));
-    progress.set("frontier_spilled", Json(live.spilled.load(std::memory_order_relaxed)));
-    progress.set("frontier_degraded", Json(live.degraded.load(std::memory_order_relaxed)));
-    if (live.incumbent_found.load(std::memory_order_relaxed)) {
-      progress.set("incumbent_score",
-                   Json(live.incumbent_score.load(std::memory_order_relaxed)));
-    }
-    return progress;
-  });
 
   Frontier::Config frontier_config;
   frontier_config.spill_dir = options.spill_dir;
@@ -472,24 +440,10 @@ BnbResult run_bnb(const ParamBox& root, const Objective& objective, const BnbLim
   bool resumed = false;
   bool root_infeasible = false;
   std::uint64_t journal_bytes = 0;
-  if (options.resume && checkpointing) {
-    // An explicit --resume with nothing (usable) to resume is refused with
-    // a structured error instead of silently starting over: restarting
-    // would overwrite the very artifacts the caller asked to extend.
-    if (!support::vfs().exists(options.checkpoint_path))
-      throw support::CheckpointError(
-          options.checkpoint_path,
-          "missing (no checkpoint at this path; run without --resume to start fresh)");
-    Json checkpoint;
-    try {
-      checkpoint = Json::load_file(options.checkpoint_path);
-    } catch (const support::JsonError& error) {
-      throw support::CheckpointError(
-          options.checkpoint_path,
-          std::string("unreadable or truncated (") + error.what() + ")");
-    }
-    state = checkpoint_from_json(checkpoint, options.checkpoint_path, root, objective, limits,
-                                 options, frontier_config);
+  if (options.resume) {
+    state = checkpoint_from_json(support::load_resume_checkpoint(options.checkpoint_path),
+                                 options.checkpoint_path, root, objective, limits, options,
+                                 frontier_config);
     journal_bytes = replay_journal(state, journal_path(options.checkpoint_path, state.generation),
                                    options.dim_names, root.dim_count());
     resumed = true;
@@ -556,7 +510,6 @@ BnbResult run_bnb(const ParamBox& root, const Objective& objective, const BnbLim
     state.log_bytes = log.bytes();
     ++state.generation;
     {
-      const telemetry::ScopedTimer time_checkpoint(checkpoint_timer);
       const support::trace::Span span("checkpoint", "search",
                                       support::trace::Span::Options{.announce = true});
       support::save_json_atomically(options.checkpoint_path,
@@ -763,7 +716,6 @@ BnbResult run_bnb(const ParamBox& root, const Objective& objective, const BnbLim
     support::ShardedRunOptions sharded;
     sharded.threads = options.max_shards;
     {
-      const telemetry::ScopedTimer time_wave(wave_timer);
       support::trace::Span span("wave", "search",
                                 support::trace::Span::Options{.announce = true});
       if (span.armed()) {
@@ -782,15 +734,6 @@ BnbResult run_bnb(const ParamBox& root, const Objective& objective, const BnbLim
     frontier_high_water_gauge.set_max(static_cast<std::int64_t>(state.stats.max_frontier));
     frontier_spilled_gauge.set(static_cast<std::int64_t>(state.frontier.spilled()));
     frontier_degraded_gauge.set(state.frontier.degraded() ? 1 : 0);
-    live.waves.store(state.stats.waves, std::memory_order_relaxed);
-    live.evaluated.store(state.stats.evaluated, std::memory_order_relaxed);
-    live.open.store(state.frontier.size(), std::memory_order_relaxed);
-    live.spilled.store(state.frontier.spilled(), std::memory_order_relaxed);
-    live.degraded.store(state.frontier.degraded(), std::memory_order_relaxed);
-    if (state.incumbent.found) {
-      live.incumbent_score.store(state.incumbent.score, std::memory_order_relaxed);
-      live.incumbent_found.store(true, std::memory_order_relaxed);
-    }
 
     if (checkpointing) {
       // Delta checkpoint: flush the incumbent log (so its recorded offset

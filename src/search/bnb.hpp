@@ -103,11 +103,11 @@ struct BnbOptions {
   /// flushed) after *every* wave, so a kill loses at most the wave in
   /// flight regardless of this cadence.
   std::size_t checkpoint_every = 16;
-  /// Continue from checkpoint_path. A missing, unreadable/truncated or
-  /// foreign (different search) checkpoint is refused with a
-  /// support::CheckpointError naming the path and the reason — an
-  /// explicit resume silently restarting from scratch would lie about
-  /// what the artifacts contain.
+  /// Continue from checkpoint_path. An empty path, or a missing,
+  /// unreadable/truncated or foreign (different search) checkpoint is
+  /// refused with a support::CheckpointError naming the path and the
+  /// reason — an explicit resume silently restarting from scratch would
+  /// lie about what the artifacts contain.
   bool resume = false;
 
   /// Spill-to-disk frontier: directory for cold-tail segment files.

@@ -58,6 +58,25 @@ class CheckpointError : public std::invalid_argument {
   std::string reason_;
 };
 
+/// Loads the checkpoint an explicit resume names. A resume with nothing
+/// (usable) to resume from is refused with a CheckpointError — an empty
+/// path, a missing file, or an unreadable/truncated one — instead of
+/// silently starting over: restarting would truncate or overwrite the
+/// very artifacts the caller asked to extend.
+inline Json load_resume_checkpoint(const std::string& path) {
+  if (path.empty())
+    throw CheckpointError(path, "no checkpoint path given (resuming needs --checkpoint)");
+  if (!vfs().exists(path))
+    throw CheckpointError(
+        path, "missing (no checkpoint at this path; run without --resume to start fresh)");
+  try {
+    return Json::load_file(path);
+  } catch (const JsonError& error) {
+    throw CheckpointError(path,
+                          std::string("unreadable or truncated (") + error.what() + ")");
+  }
+}
+
 /// Write-then-rename so an interrupted write can never leave a truncated
 /// checkpoint behind: the previous checkpoint survives until the new one is
 /// fully on disk. Transient write/rename failures are retried with

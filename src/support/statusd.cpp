@@ -124,65 +124,17 @@ std::optional<std::uint64_t> query_uint(std::string_view query, std::string_view
 }  // namespace
 
 // ----------------------------------------------------------------------
-// Progress providers
-// ----------------------------------------------------------------------
-
-ProgressRegistry& ProgressRegistry::instance() {
-  static ProgressRegistry* the_registry = new ProgressRegistry();  // leaked like
-                                                                   // the metric registry
-  return *the_registry;
-}
-
-std::uint64_t ProgressRegistry::add(std::string name, std::function<Json()> provider) {
-  std::lock_guard lock(mutex_);
-  const std::uint64_t token = next_token_++;
-  entries_.push_back(Entry{token, std::move(name), std::move(provider)});
-  return token;
-}
-
-void ProgressRegistry::remove(std::uint64_t token) {
-  // Taking the mutex is what blocks until an in-flight collect() — which
-  // invokes providers under the same mutex — has finished.
-  std::lock_guard lock(mutex_);
-  for (auto it = entries_.begin(); it != entries_.end(); ++it) {
-    if (it->token == token) {
-      entries_.erase(it);
-      return;
-    }
-  }
-}
-
-Json ProgressRegistry::collect() const {
-  std::lock_guard lock(mutex_);
-  Json out = Json::object();
-  for (const Entry& entry : entries_) {
-    try {
-      out.set(entry.name, entry.provider());
-    } catch (const std::exception& error) {
-      Json failed = Json::object();
-      failed.set("error", Json(std::string(error.what())));
-      out.set(entry.name, std::move(failed));
-    } catch (...) {
-      Json failed = Json::object();
-      failed.set("error", Json("provider threw"));
-      out.set(entry.name, std::move(failed));
-    }
-  }
-  return out;
-}
-
-// ----------------------------------------------------------------------
 // Renderers
 // ----------------------------------------------------------------------
 
 std::string render_prometheus(const telemetry::Registry::Snapshot& snapshot,
-                              const RunInfo& run, double uptime_s) {
+                              const telemetry::RunManifest& run, double uptime_s) {
   std::string out;
   out.reserve(4096);
 
   out += "# TYPE aurv_run_info gauge\n";
   out += "aurv_run_info{kind=\"" + escape_label(run.kind) + "\",spec=\"" +
-         escape_label(run.spec) + "\",fingerprint=\"" + escape_label(run.fingerprint) +
+         escape_label(run.spec_path) + "\",fingerprint=\"" + escape_label(run.fingerprint) +
          "\",threads=\"" + std::to_string(run.threads) + "\"} 1\n";
   out += "# TYPE aurv_uptime_seconds gauge\n";
   out += "aurv_uptime_seconds " + seconds_text(uptime_s) + "\n";
@@ -232,17 +184,28 @@ Json degradation_detail() {
   return out;
 }
 
-Json render_status(const RunInfo& run, double uptime_s) {
+Json render_status(const telemetry::RunManifest& run, double uptime_s) {
   Json out = Json::object();
   out.set("kind", Json(run.kind));
-  out.set("spec", Json(run.spec));
+  out.set("spec", Json(run.spec_path));
   out.set("fingerprint", Json(run.fingerprint));
   out.set("threads", Json(run.threads));
   out.set("elapsed_s", Json(uptime_s));
   out.set("phase", Json(telemetry::activity().current()));
-  out.set("progress", ProgressRegistry::instance().collect());
 
   const telemetry::Registry::Snapshot snapshot = telemetry::registry().read_snapshot();
+  const auto live = [](const std::string& name) {
+    return name.starts_with("runner.") || name.starts_with("search.");
+  };
+  Json progress = Json::object();
+  for (const auto& [name, value] : snapshot.counters) {
+    if (live(name)) progress.set(name, Json(value));
+  }
+  for (const auto& [name, value] : snapshot.gauges) {
+    if (live(name)) progress.set(name, Json(value));
+  }
+  out.set("progress", std::move(progress));
+
   Json spill = Json::object();
   for (const auto& [name, value] : snapshot.counters) {
     if (name.starts_with("spill.")) spill.set(name, Json(value));
@@ -253,7 +216,7 @@ Json render_status(const RunInfo& run, double uptime_s) {
 }
 
 Response handle_request(std::string_view method, std::string_view target,
-                        const RunInfo& run, double uptime_s) {
+                        const telemetry::RunManifest& run, double uptime_s) {
   telemetry::registry().counter("statusd.requests").add();
   if (method != "GET") return error_response(405, "method not allowed (GET only)");
 

@@ -16,19 +16,6 @@ std::string bucket_lower_bound(int index) {
 
 }  // namespace
 
-Json Log2Histogram::to_json() const {
-  Json buckets = Json::object();
-  for (int i = 0; i < 65; ++i) {
-    const std::uint64_t n = bucket(i);
-    if (n != 0) buckets.set(bucket_lower_bound(i), Json(n));
-  }
-  Json out = Json::object();
-  out.set("count", Json(count()));
-  out.set("sum", Json(sum()));
-  out.set("buckets", std::move(buckets));
-  return out;
-}
-
 Registry& Registry::instance() {
   static Registry* the_registry = new Registry();  // never destroyed: references
                                                    // handed out must outlive exit paths
@@ -38,40 +25,28 @@ Registry& Registry::instance() {
 Counter& Registry::counter(std::string_view name) {
   std::lock_guard lock(mutex_);
   auto& slot = counters_[std::string(name)];
-  if (!slot) {
-    slot = std::make_unique<Counter>();
-    generation_.fetch_add(1, std::memory_order_release);
-  }
+  if (!slot) slot = std::make_unique<Counter>();
   return *slot;
 }
 
 Gauge& Registry::gauge(std::string_view name) {
   std::lock_guard lock(mutex_);
   auto& slot = gauges_[std::string(name)];
-  if (!slot) {
-    slot = std::make_unique<Gauge>();
-    generation_.fetch_add(1, std::memory_order_release);
-  }
+  if (!slot) slot = std::make_unique<Gauge>();
   return *slot;
 }
 
 Log2Histogram& Registry::histogram(std::string_view name) {
   std::lock_guard lock(mutex_);
   auto& slot = histograms_[std::string(name)];
-  if (!slot) {
-    slot = std::make_unique<Log2Histogram>();
-    generation_.fetch_add(1, std::memory_order_release);
-  }
+  if (!slot) slot = std::make_unique<Log2Histogram>();
   return *slot;
 }
 
 Timer& Registry::timer(std::string_view name) {
   std::lock_guard lock(mutex_);
   auto& slot = timers_[std::string(name)];
-  if (!slot) {
-    slot = std::make_unique<Timer>();
-    generation_.fetch_add(1, std::memory_order_release);
-  }
+  if (!slot) slot = std::make_unique<Timer>();
   return *slot;
 }
 
@@ -80,42 +55,15 @@ void Registry::merge(const ShardAccumulator& shard) {
   counter("telemetry.merges").add();
 }
 
-std::shared_ptr<const Registry::Index> Registry::current_index() const {
-  // Fast path: the cached index matches the registration generation.
-  // Loading the generation first (acquire, paired with the registration
-  // release) means a stale-generation index can never pass the check.
-  const std::uint64_t generation = generation_.load(std::memory_order_acquire);
-  if (auto cached = index_.load(std::memory_order_acquire);
-      cached && cached->generation == generation) {
-    return cached;
-  }
-  // Slow path (first snapshot after a registration): rebuild under the
-  // mutex from the name-ordered maps, so index order — and therefore
-  // every rendering — stays name-sorted.
-  std::lock_guard lock(mutex_);
-  auto index = std::make_shared<Index>();
-  index->generation = generation_.load(std::memory_order_relaxed);
-  index->counters.reserve(counters_.size());
-  for (const auto& [name, c] : counters_) index->counters.emplace_back(name, c.get());
-  index->gauges.reserve(gauges_.size());
-  for (const auto& [name, g] : gauges_) index->gauges.emplace_back(name, g.get());
-  index->histograms.reserve(histograms_.size());
-  for (const auto& [name, h] : histograms_) index->histograms.emplace_back(name, h.get());
-  index->timers.reserve(timers_.size());
-  for (const auto& [name, t] : timers_) index->timers.emplace_back(name, t.get());
-  index_.store(index, std::memory_order_release);
-  return index;
-}
-
 Registry::Snapshot Registry::read_snapshot() const {
-  const std::shared_ptr<const Index> index = current_index();
+  std::lock_guard lock(mutex_);
   Snapshot out;
-  out.counters.reserve(index->counters.size());
-  for (const auto& [name, c] : index->counters) out.counters.emplace_back(name, c->value());
-  out.gauges.reserve(index->gauges.size());
-  for (const auto& [name, g] : index->gauges) out.gauges.emplace_back(name, g->value());
-  out.histograms.reserve(index->histograms.size());
-  for (const auto& [name, h] : index->histograms) {
+  out.counters.reserve(counters_.size());
+  for (const auto& [name, c] : counters_) out.counters.emplace_back(name, c->value());
+  out.gauges.reserve(gauges_.size());
+  for (const auto& [name, g] : gauges_) out.gauges.emplace_back(name, g->value());
+  out.histograms.reserve(histograms_.size());
+  for (const auto& [name, h] : histograms_) {
     Snapshot::HistogramValue value;
     value.count = h->count();
     value.sum = h->sum();
@@ -125,8 +73,8 @@ Registry::Snapshot Registry::read_snapshot() const {
     }
     out.histograms.emplace_back(name, std::move(value));
   }
-  out.timers.reserve(index->timers.size());
-  for (const auto& [name, t] : index->timers) {
+  out.timers.reserve(timers_.size());
+  for (const auto& [name, t] : timers_) {
     out.timers.emplace_back(name, Snapshot::TimerValue{t->total_ns(), t->count()});
   }
   return out;

@@ -1,6 +1,7 @@
 // Run telemetry: process-wide named counters, gauges, log2 histograms and
-// scoped wall-clock timers, a clock-driven heartbeat reporter, and a
-// versioned end-of-run metrics snapshot.
+// wall-clock timers, a clock-driven heartbeat reporter, and a versioned
+// end-of-run metrics snapshot. Timers are fed by announced trace spans
+// (trace::Span adds its wall time to the timer "<cat>.<name>").
 //
 // The hard invariant the whole layer is built around: telemetry NEVER
 // touches a deterministic artifact. Certificates, JSONL streams,
@@ -106,11 +107,6 @@ class Log2Histogram {
     return buckets_[static_cast<std::size_t>(index)].load(std::memory_order_relaxed);
   }
 
-  /// {"count":n,"sum":s,"buckets":{"<lower bound>":count,...}} — only
-  /// nonzero buckets, keyed by the bucket's lower bound ("0", "1", "2",
-  /// "4", "8", ...), in increasing order.
-  [[nodiscard]] Json to_json() const;
-
  private:
   friend class Registry;
   std::array<std::atomic<std::uint64_t>, 65> buckets_{};
@@ -137,24 +133,6 @@ class Timer {
   friend class Registry;
   std::atomic<std::uint64_t> total_ns_{0};
   std::atomic<std::uint64_t> count_{0};
-};
-
-/// RAII wall-clock span: adds the elapsed time to `timer` on destruction.
-class ScopedTimer {
- public:
-  explicit ScopedTimer(Timer& timer) noexcept
-      : timer_(&timer), start_(std::chrono::steady_clock::now()) {}
-  ~ScopedTimer() {
-    const auto elapsed = std::chrono::steady_clock::now() - start_;
-    timer_->add_ns(static_cast<std::uint64_t>(
-        std::chrono::duration_cast<std::chrono::nanoseconds>(elapsed).count()));
-  }
-  ScopedTimer(const ScopedTimer&) = delete;
-  ScopedTimer& operator=(const ScopedTimer&) = delete;
-
- private:
-  Timer* timer_;
-  std::chrono::steady_clock::time_point start_;
 };
 
 /// Thread-local (well, shard-local) counter deltas: plain integers on the
@@ -188,20 +166,18 @@ class ShardAccumulator {
 ///
 /// Snapshot thread-safety: `read_snapshot()` is the one snapshot
 /// implementation (the JSON `snapshot()` and `counter_values()` are thin
-/// renderings of it) and is safe to call concurrently from any number of
-/// threads — the heartbeat thread and every statusd scrape share it.
-/// After the first call following a registration, readers take no lock
-/// at all: they load a cached immutable name→object index (rebuilt under
-/// the mutex only when the registration generation changed, published
-/// via an atomic shared_ptr) and read each metric with relaxed atomic
-/// loads. A snapshot is therefore NOT a cross-metric atomic cut — values
-/// racing with concurrent updates may mix "before" and "after" per
-/// metric — but every value is itself a coherent atomic read, and a
-/// quiescent registry snapshots exactly.
+/// renderings of it). It walks the name-ordered maps under the registry
+/// mutex, which name lookups also take; updates through a held metric
+/// reference never lock, so a snapshot cannot stall them. Its readers
+/// are few and slow — the heartbeat (one per beat), the status server
+/// (one connection at a time) and end-of-run snapshots. A snapshot is NOT a
+/// cross-metric atomic cut — values racing with concurrent updates may
+/// mix "before" and "after" per metric — but every value is itself a
+/// coherent atomic read, and a quiescent registry snapshots exactly.
 class Registry {
  public:
   /// A point-in-time value capture of every registered metric, every
-  /// family name-sorted (the index is built from the name-ordered maps).
+  /// family name-sorted.
   /// Plain values, no locks, no references into the registry: safe to
   /// ship across threads or render at leisure.
   struct Snapshot {
@@ -236,9 +212,8 @@ class Registry {
   /// deterministic; the call itself also counts into "telemetry.merges".
   void merge(const ShardAccumulator& shard);
 
-  /// Captures every metric's current value. Lock-free for readers once
-  /// the cached index is warm (see the class comment); this is the one
-  /// snapshot implementation everything else renders from.
+  /// Captures every metric's current value (see the class comment); the
+  /// one snapshot implementation everything else renders from.
   [[nodiscard]] Snapshot read_snapshot() const;
 
   /// {"counters":{...},"gauges":{...},"histograms":{...},"timers":{...}}
@@ -255,31 +230,13 @@ class Registry {
   void reset();
 
  private:
-  /// Immutable name→object view of the registry, shared by concurrent
-  /// readers. Pointers stay valid forever (metric objects are never
-  /// deallocated); the index itself is replaced, never mutated, when a
-  /// registration bumps `generation_`.
-  struct Index {
-    std::uint64_t generation = 0;
-    std::vector<std::pair<std::string, const Counter*>> counters;
-    std::vector<std::pair<std::string, const Gauge*>> gauges;
-    std::vector<std::pair<std::string, const Log2Histogram*>> histograms;
-    std::vector<std::pair<std::string, const Timer*>> timers;
-  };
-
   Registry() = default;
-
-  [[nodiscard]] std::shared_ptr<const Index> current_index() const;
 
   mutable std::mutex mutex_;
   std::map<std::string, std::unique_ptr<Counter>> counters_;
   std::map<std::string, std::unique_ptr<Gauge>> gauges_;
   std::map<std::string, std::unique_ptr<Log2Histogram>> histograms_;
   std::map<std::string, std::unique_ptr<Timer>> timers_;
-  /// Bumped (under mutex_) by every first-use registration; readers
-  /// compare it against the cached index's generation without locking.
-  std::atomic<std::uint64_t> generation_{1};
-  mutable std::atomic<std::shared_ptr<const Index>> index_;
 };
 
 /// Shorthand for Registry::instance().
@@ -292,9 +249,10 @@ class Registry {
 /// Process-wide stack of named activities (phases, waves, checkpoint
 /// writes, spill merges). The heartbeat stamps the innermost name into
 /// every beat line, so a long checkpoint or merge reads as itself instead
-/// of a stall. Entries are token-addressed, not strictly LIFO: announced
-/// spans may close out of order across threads, and pop(token) removes
-/// the matching entry wherever it sits.
+/// of a stall. Announced trace::Spans push and pop it. Entries are
+/// token-addressed, not strictly LIFO: announced spans may close out of
+/// order across threads, and pop(token) removes the matching entry
+/// wherever it sits.
 class ActivityStack {
  public:
   [[nodiscard]] static ActivityStack& instance();
@@ -315,19 +273,6 @@ class ActivityStack {
 
 /// Shorthand for ActivityStack::instance().
 [[nodiscard]] inline ActivityStack& activity() { return ActivityStack::instance(); }
-
-/// RAII activity entry: pushes on construction, pops on destruction.
-class ScopedActivity {
- public:
-  explicit ScopedActivity(std::string name)
-      : token_(ActivityStack::instance().push(std::move(name))) {}
-  ~ScopedActivity() { ActivityStack::instance().pop(token_); }
-  ScopedActivity(const ScopedActivity&) = delete;
-  ScopedActivity& operator=(const ScopedActivity&) = delete;
-
- private:
-  std::uint64_t token_;
-};
 
 // ------------------------------------------------------------------------
 // Heartbeat
@@ -389,14 +334,17 @@ class Heartbeat {
 // Metrics snapshot
 // ------------------------------------------------------------------------
 
-/// What identifies the run inside a metrics snapshot. All fields are
-/// stamped by the driver; `extra` is an open object for driver-specific
-/// shape (shard_size, wave counts, spill config, ...).
+/// What identifies the run: the metrics snapshot's "run" block, the
+/// heartbeat's kind/spec fields, and the status server's /metrics labels
+/// and /status fields. All fields are stamped by the driver, once per
+/// command; `extra` is an open object for driver-specific shape
+/// (shard_size, wave counts, spill config, ...), rendered only into the
+/// metrics snapshot.
 struct RunManifest {
   std::string kind;         ///< "campaign" | "gather-census" | "search" | ...
   std::string spec_path;    ///< the spec file the run executed
   std::string fingerprint;  ///< spec fingerprint, 16 hex digits ("" if n/a)
-  std::uint64_t threads = 0;  ///< worker cap the invocation asked for
+  std::uint64_t threads = 0;  ///< effective worker count
   Json extra = Json::object();
 };
 

@@ -276,7 +276,10 @@ void instant(std::string_view name, std::string_view cat, TraceBuffer* buffer,
 
 Span::Span(std::string_view name, std::string_view cat, Options options)
     : name_(name), cat_(cat), options_(options) {
-  if (options_.announce) activity_token_ = telemetry::activity().push(name_);
+  if (options_.announce) {
+    activity_token_ = telemetry::activity().push(name_);
+    start_ns_ = steady_ns();
+  }
   TraceSink& the_sink = sink();
   armed_ = the_sink.enabled();
   if (armed_) {
@@ -288,6 +291,13 @@ Span::Span(std::string_view name, std::string_view cat, Options options)
 
 Span::~Span() {
   try {
+    if (options_.announce) {
+      const std::uint64_t end_ns = steady_ns();
+      const std::string qualified = cat_ + ".";
+      telemetry::registry()
+          .timer(name_.starts_with(qualified) ? name_ : qualified + name_)
+          .add_ns(end_ns > start_ns_ ? end_ns - start_ns_ : 0);
+    }
     if (armed_) {
       const std::uint64_t end_us = sink().now_us();
       const std::uint32_t lane =

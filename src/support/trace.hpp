@@ -18,8 +18,9 @@
 //     file is shard-deterministic even though the timestamps are not.
 //
 // A `Span` with `announce = true` additionally pushes its name onto the
-// telemetry ActivityStack for the heartbeat's "phase" field — that part
-// works whether or not a trace file is open.
+// telemetry ActivityStack for the heartbeat's "phase" field, and adds its
+// wall time to the registry timer "<cat>.<name>" — both whether or not a
+// trace file is open. Announced spans are the one source of timers.
 //
 // Include-cycle note: this header includes only json.hpp + telemetry.hpp;
 // all vfs interaction lives behind the TraceSink pimpl in trace.cpp. That
@@ -121,12 +122,15 @@ void instant(std::string_view name, std::string_view cat, TraceBuffer* buffer = 
 /// RAII trace span: measures from construction to destruction and emits
 /// one complete event — to `options.buffer` when given (shard-local
 /// path), else straight to the sink. With `announce`, also pushes `name`
-/// onto the telemetry ActivityStack for the heartbeat's "phase" field
-/// (independent of whether a trace file is open). Never throws.
+/// onto the telemetry ActivityStack for the heartbeat's "phase" field and
+/// adds the elapsed wall time to the registry timer "<cat>.<name>" (just
+/// `name` when it already starts with "<cat>."), independent of whether a
+/// trace file is open. Unannounced spans (per-box, per-shard) touch no
+/// registry object. Never throws.
 class Span {
  public:
   struct Options {
-    bool announce = false;        ///< surface in heartbeat "phase"
+    bool announce = false;        ///< surface in heartbeat "phase" + time into a timer
     TraceBuffer* buffer = nullptr;  ///< stage shard-locally instead of emitting
     std::uint32_t lane = 0;       ///< tid when buffer == nullptr
   };
@@ -152,6 +156,7 @@ class Span {
   std::optional<Json> args_;
   std::uint64_t activity_token_ = 0;
   std::uint64_t start_us_ = 0;
+  std::uint64_t start_ns_ = 0;  ///< steady clock, for the announced span's timer
   bool armed_ = false;
 };
 

@@ -13,6 +13,7 @@
 #include "exp/runner.hpp"
 #include "exp/scenario.hpp"
 #include "support/json.hpp"
+#include "support/jsonl.hpp"
 
 namespace aurv::exp {
 namespace {
@@ -289,6 +290,25 @@ TEST(Campaign, ResumeRefusesEditedSpec) {
   options.resume = true;
   options.max_shards = 0;
   EXPECT_THROW((void)run_campaign(spec, options), std::invalid_argument);
+}
+
+TEST(Campaign, ResumeWithoutCheckpointPathIsRefused) {
+  // An explicit resume with no checkpoint to resume from must not start
+  // over: that would truncate the stream the caller asked to extend.
+  const std::string jsonl = temp_path("campaign_resume_no_ck.jsonl");
+  std::ofstream(jsonl) << "{\"job\":0}\n";
+  CampaignOptions options;
+  options.shard_size = 8;
+  options.jsonl_path = jsonl;
+  options.resume = true;
+  try {
+    (void)run_campaign(small_spec(), options);
+    FAIL() << "expected a CheckpointError";
+  } catch (const support::CheckpointError& error) {
+    EXPECT_TRUE(error.path().empty());
+    EXPECT_NE(error.reason().find("--checkpoint"), std::string::npos) << error.reason();
+  }
+  EXPECT_EQ(slurp(jsonl), "{\"job\":0}\n") << "the stream must be left untouched";
 }
 
 TEST(Campaign, JsonlRecordsAreWellFormedAndInJobOrder) {

@@ -22,6 +22,7 @@
 #include "search/bnb.hpp"
 #include "search/box.hpp"
 #include "search/objective.hpp"
+#include "support/jsonl.hpp"
 
 namespace aurv::search {
 namespace {
@@ -379,6 +380,25 @@ TEST(Search, ResumeRefusesEditedSpecAndForeignLogPath) {
 
   resume.incumbent_log_path = temp_path("somewhere_else.jsonl");
   EXPECT_THROW((void)exp::run_search(spec, resume), std::invalid_argument);
+}
+
+TEST(Search, ResumeWithoutCheckpointPathIsRefused) {
+  // An explicit resume with no checkpoint to resume from must not start
+  // over: that would overwrite the incumbent log the caller asked to
+  // extend.
+  const std::string log = temp_path("search_resume_no_ck.jsonl");
+  std::ofstream(log) << "{\"seq\":1}\n";
+  SearchOptions options;
+  options.incumbent_log_path = log;
+  options.resume = true;
+  try {
+    (void)exp::run_search(small_spec(), options);
+    FAIL() << "expected a CheckpointError";
+  } catch (const support::CheckpointError& error) {
+    EXPECT_TRUE(error.path().empty());
+    EXPECT_NE(error.reason().find("--checkpoint"), std::string::npos) << error.reason();
+  }
+  EXPECT_EQ(slurp(log), "{\"seq\":1}\n") << "the log must be left untouched";
 }
 
 TEST(Search, ResumeRefusesRenamedIncumbentPointKeys) {

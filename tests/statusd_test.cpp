@@ -1,5 +1,6 @@
-// The embedded status server, bottom to top: ProgressRegistry semantics,
-// the Prometheus renderer, the request router (no sockets), the real
+// The embedded status server, bottom to top: the Prometheus renderer,
+// the request router (no sockets, /status progress read from the
+// registry), the real
 // HTTP/1.1 transport (timeouts, oversized requests, port-in-use soft
 // degradation) — and the layer's hard invariant: a spilled multi-shard
 // search scraped in a tight client loop produces certificates, incumbent
@@ -73,39 +74,16 @@ bool contains(const std::string& haystack, const std::string& needle) {
   return haystack.find(needle) != std::string::npos;
 }
 
-// --------------------------------------------------- progress registry --
-
-TEST(StatusdProgress, CollectEmbedsProvidersAndIsolatesFailures) {
-  const statusd::ScopedProgress good("unit_good", [] {
-    Json value = Json::object();
-    value.set("done", Json(std::uint64_t{7}));
-    return value;
-  });
-  const statusd::ScopedProgress bad("unit_bad",
-                                    []() -> Json { throw std::runtime_error("provider broke"); });
-  const Json collected = statusd::progress().collect();
-  EXPECT_EQ(collected.at("unit_good").at("done").as_uint(), 7u);
-  EXPECT_TRUE(contains(collected.at("unit_bad").at("error").as_string(), "provider broke"));
-}
-
-TEST(StatusdProgress, RemoveUnregistersImmediately) {
-  {
-    const statusd::ScopedProgress scoped("unit_transient", [] { return Json::object(); });
-    EXPECT_NE(statusd::progress().collect().find("unit_transient"), nullptr);
-  }
-  EXPECT_EQ(statusd::progress().collect().find("unit_transient"), nullptr);
-}
-
 // ------------------------------------------------- prometheus renderer --
 
-TEST(StatusdPrometheus, RendersCountersGaugesAndRunInfo) {
+TEST(StatusdPrometheus, RendersCountersGaugesAndRunLabels) {
   telemetry::registry().reset();
   telemetry::registry().counter("statusd-test.count").add(3);
   telemetry::registry().gauge("statusd_test.level").set(-5);
 
-  statusd::RunInfo run;
+  telemetry::RunManifest run;
   run.kind = "search";
-  run.spec = "spec\"with\\odd\nchars.json";
+  run.spec_path = "spec\"with\\odd\nchars.json";
   run.fingerprint = "deadbeefdeadbeef";
   run.threads = 4;
   const std::string text =
@@ -129,7 +107,7 @@ TEST(StatusdPrometheus, HistogramBucketsAreCumulativeWithInf) {
   histogram.record(5);    // bucket le="7"
   histogram.record(100);  // bucket le="127"
   const std::string text =
-      statusd::render_prometheus(telemetry::registry().read_snapshot(), statusd::RunInfo{}, 0.0);
+      statusd::render_prometheus(telemetry::registry().read_snapshot(), {}, 0.0);
 
   EXPECT_TRUE(contains(text, "# TYPE aurv_statusd_test_hist histogram\n"));
   EXPECT_TRUE(contains(text, "aurv_statusd_test_hist_bucket{le=\"0\"} 1\n"));
@@ -168,23 +146,26 @@ TEST(StatusdRouter, HealthzReflectsDegradedGauges) {
 
 TEST(StatusdRouter, StatusEmbedsRunAndProviders) {
   telemetry::registry().reset();
-  statusd::RunInfo run;
+  telemetry::RunManifest run;
   run.kind = "campaign";
-  run.spec = "scenario.json";
+  run.spec_path = "scenario.json";
   run.fingerprint = "0123456789abcdef";
   run.threads = 2;
-  const statusd::ScopedProgress scoped("unit_runner", [] {
-    Json value = Json::object();
-    value.set("jobs_done", Json(std::uint64_t{12}));
-    return value;
-  });
+  telemetry::registry().gauge("runner.jobs_done").set(12);
+  telemetry::registry().counter("search.waves").add(3);
+  telemetry::registry().counter("statusd_test.elsewhere").add(1);
   const statusd::Response response = statusd::handle_request("GET", "/status", run, 3.0);
   EXPECT_EQ(response.status, 200);
   const Json body = Json::parse(response.body);
   EXPECT_EQ(body.at("kind").as_string(), "campaign");
+  EXPECT_EQ(body.at("spec").as_string(), "scenario.json");
   EXPECT_EQ(body.at("fingerprint").as_string(), "0123456789abcdef");
   EXPECT_EQ(body.at("threads").as_uint(), 2u);
-  EXPECT_EQ(body.at("progress").at("unit_runner").at("jobs_done").as_uint(), 12u);
+  // Progress is the registry's runner.* and search.* metrics, by name.
+  const Json& progress = body.at("progress");
+  EXPECT_EQ(progress.at("runner.jobs_done").as_int(), 12);
+  EXPECT_EQ(progress.at("search.waves").as_uint(), 3u);
+  EXPECT_EQ(progress.find("statusd_test.elsewhere"), nullptr);
 }
 
 TEST(StatusdRouter, TraceEndpointNeedsAnOpenSink) {

@@ -1,8 +1,9 @@
-// Telemetry core unit tests: counter/gauge/histogram/timer semantics, the
-// registry's first-use registration and reset-in-place contract, the
-// shard-local accumulator's deterministic merge (including through the
-// run_sharded in-order completion hook at several worker counts), the
-// heartbeat reporter's line format, and the metrics snapshot shape.
+// Telemetry core unit tests: counter/gauge/histogram semantics, announced
+// spans as the timer source, the registry's first-use registration and
+// reset-in-place contract, the shard-local accumulator's deterministic
+// merge (including through the run_sharded in-order completion hook at
+// several worker counts), the heartbeat reporter's line format, and the
+// metrics snapshot shape.
 //
 // The registry is process-global, so every test that asserts on totals
 // either resets it first or uses names no other test touches.
@@ -17,6 +18,7 @@
 #include "test_paths.hpp"
 #include "support/parallel.hpp"
 #include "support/telemetry.hpp"
+#include "support/trace.hpp"
 
 namespace aurv::support::telemetry {
 namespace {
@@ -48,7 +50,8 @@ TEST(Telemetry, GaugeSetAddAndHighWater) {
 }
 
 TEST(Telemetry, HistogramBucketsByBitWidth) {
-  Log2Histogram histogram;
+  registry().reset();
+  Log2Histogram& histogram = registry().histogram("test.hist.bit_width");
   histogram.record(0);  // bucket 0: the zero sample
   histogram.record(1);  // bucket 1: [1, 2)
   histogram.record(2);  // bucket 2: [2, 4)
@@ -63,8 +66,9 @@ TEST(Telemetry, HistogramBucketsByBitWidth) {
   EXPECT_EQ(histogram.bucket(3), 1u);
   EXPECT_EQ(histogram.bucket(10), 1u);
 
-  // to_json: only the nonzero buckets, keyed by their lower bound.
-  const Json json = histogram.to_json();
+  // The snapshot renders only the nonzero buckets, keyed by their lower
+  // bound.
+  const Json json = registry().snapshot().at("histograms").at("test.hist.bit_width");
   EXPECT_EQ(json.at("count").as_uint(), 6u);
   EXPECT_EQ(json.at("sum").as_uint(), 1033u);
   const Json& buckets = json.at("buckets");
@@ -75,14 +79,28 @@ TEST(Telemetry, HistogramBucketsByBitWidth) {
   EXPECT_EQ(buckets.find("1024"), nullptr);
 }
 
-TEST(Telemetry, ScopedTimerRecordsElapsed) {
-  Timer timer;
+TEST(Telemetry, AnnouncedSpanRecordsTimerWithoutTraceSink) {
+  trace::sink().close();
+  ASSERT_FALSE(trace::sink().enabled());
+  registry().reset();
   {
-    const ScopedTimer scope(timer);
+    const trace::Span span("unit", "test", trace::Span::Options{.announce = true});
+    EXPECT_EQ(activity().current(), "unit");
     std::this_thread::sleep_for(std::chrono::milliseconds(2));
   }
-  EXPECT_EQ(timer.count(), 1u);
-  EXPECT_GE(timer.total_ns(), 1'000'000u);  // at least ~1ms of the 2ms sleep
+  {
+    // A name that already carries its category is not prefixed twice.
+    const trace::Span span("test.qualified", "test", trace::Span::Options{.announce = true});
+  }
+  const Json timers = registry().snapshot().at("timers");
+  EXPECT_EQ(timers.at("test.unit").at("count").as_uint(), 1u);
+  EXPECT_GE(timers.at("test.unit").at("ns").as_uint(), 1'000'000u);  // ~1ms of the 2ms sleep
+  EXPECT_EQ(timers.at("test.qualified").at("count").as_uint(), 1u);
+  EXPECT_EQ(activity().current(), "");
+
+  // An unannounced span registers no timer.
+  { const trace::Span span("unannounced", "test"); }
+  EXPECT_EQ(registry().snapshot().at("timers").find("test.unannounced"), nullptr);
 }
 
 // --------------------------------------------------------------- registry --

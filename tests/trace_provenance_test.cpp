@@ -136,7 +136,7 @@ TEST(TraceProvenance, HeartbeatLinesNameTheActivePhase) {
     config.out = out;
     telemetry::Heartbeat heartbeat(std::move(config));
     {
-      const telemetry::ScopedActivity phase("wave");
+      const trace::Span phase("wave", "search", trace::Span::Options{.announce = true});
       heartbeat.beat_now();
     }
     heartbeat.beat_now();  // idle again
