@@ -1,10 +1,11 @@
 // KERN — google-benchmark micro-kernels for the library's hot paths: exact
 // rational time arithmetic, the closest-approach solver, instruction-stream
-// generation, end-to-end simulator event throughput, and the search and
+// generation, the sampler and program layers of a campaign run (one row per
+// registered name), end-to-end simulator event throughput, and the search and
 // gathering-census rows perfbench/ does not cover (tuple-family search,
 // spilled frontier, gathering census).
 //
-// Run with --json[=path] to additionally write a flat { name -> ns/op }
+// Run with --json[=path] to additionally write the { name -> median ns/op }
 // baseline file (default BENCH_micro.json); see bench/bench_json.hpp.
 #include <benchmark/benchmark.h>
 
@@ -18,6 +19,8 @@
 #include "algo/cow_walk.hpp"
 #include "core/almost_universal.hpp"
 #include "algo/latecomers.hpp"
+#include "exp/registry.hpp"
+#include "exp/runner.hpp"
 #include "exp/search_driver.hpp"
 #include "gatherx/census.hpp"
 #include "gatherx/scenario.hpp"
@@ -161,6 +164,45 @@ void BM_TakeDurationSlicing(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_TakeDurationSlicing);
+
+// -- layer ladder ------------------------------------------------------------
+// One row per registered name, registered in main(): each isolates one
+// layer of a campaign run, with no engine and no sink.
+
+void BM_ProgramStream(benchmark::State& state, const std::string& algorithm) {
+  // The program layer: the first 100k instructions of the algorithm's
+  // program (fewer if it ends) resolved on one fixed probe instance — a
+  // covered type-1 instance on which the boundary entry's S1 construction
+  // is also valid. items/s is instructions/s.
+  constexpr std::uint64_t kPull = 100'000;
+  const aurv::agents::Instance probe =
+      aurv::agents::Instance::synchronous(1.0, {3.0, 4.0}, 0.0, 5, 1);
+  const aurv::sim::AlgorithmFactory factory = aurv::exp::resolve_algorithm(algorithm)(probe);
+  std::uint64_t instructions = 0;
+  for (auto _ : state) {
+    aurv::program::Program program = factory();
+    for (std::uint64_t k = 0; k < kPull && program.next(); ++k) {
+      benchmark::DoNotOptimize(&program.value());
+      ++instructions;
+    }
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(instructions));
+}
+
+void BM_SampleInstance(benchmark::State& state, const std::string& sampler) {
+  // The sampler layer: exp::campaign_instance, per-sample RNG seeding
+  // included, over consecutive jobs of a default-range campaign.
+  aurv::exp::ScenarioSpec spec;
+  spec.sampler = sampler;
+  spec.seed = 7;
+  spec.count = std::uint64_t{1} << 20;
+  std::uint64_t job = 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(aurv::exp::campaign_instance(spec, job));
+    job = (job + 1) % spec.count;
+  }
+  state.SetItemsProcessed(state.iterations());
+}
 
 void BM_GatherEngineThreeAgents(benchmark::State& state) {
   // Multi-agent window processing: O(n^2) pair checks per event.
@@ -403,6 +445,12 @@ int main(int argc, char** argv) {
     }
   }
   argc = out;
+  for (const std::string& name : aurv::exp::algorithm_names()) {
+    benchmark::RegisterBenchmark(("BM_ProgramStream/" + name).c_str(), BM_ProgramStream, name);
+  }
+  for (const std::string& name : aurv::exp::sampler_names()) {
+    benchmark::RegisterBenchmark(("BM_SampleInstance/" + name).c_str(), BM_SampleInstance, name);
+  }
   benchmark::Initialize(&argc, argv);
   if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
   if (json) {

@@ -12,19 +12,22 @@ using program::Program;
 Program cgkk() {
   for (std::uint32_t i = 1;; ++i) {
     AURV_CHECK_MSG(i <= kMaxCowWalkIndex, "cgkk: phase index overflow");
-    for (const Instruction& instruction : planar_cow_walk(i)) co_yield instruction;
+    PlanarCowWalkCursor walk(i, 0.0);
+    while (const Instruction* step = walk.next()) co_yield *step;
   }
 }
 
 Program cgkk_extended() {
   for (std::uint32_t i = 1;; ++i) {
     AURV_CHECK_MSG(i <= kMaxCowWalkIndex, "cgkk_extended: phase index overflow");
-    for (const Instruction& instruction : planar_cow_walk(i)) co_yield instruction;
+    PlanarCowWalkCursor walk(i, 0.0);
+    while (const Instruction* step = walk.next()) co_yield *step;
     // Long waits let the faster-clocked agent finish an entire search while
     // a slower-clocked one is still idle (the type-3 mechanism, Lemma 3.4).
     const Instruction pause = program::wait(Rational::pow2(15ULL * i * i));
     co_yield pause;
-    for (const Instruction& instruction : planar_cow_walk(i)) co_yield instruction;
+    PlanarCowWalkCursor again(i, 0.0);
+    while (const Instruction* step = again.next()) co_yield *step;
   }
 }
 

@@ -5,58 +5,55 @@
 namespace aurv::algo {
 
 using numeric::Rational;
-using program::go_east;
-using program::go_north;
-using program::go_south;
-using program::go_west;
+using program::go;
 using program::Instruction;
+using program::kEast;
+using program::kNorth;
+using program::kSouth;
+using program::kWest;
 using program::Program;
+
+PlanarCowWalkCursor::PlanarCowWalkCursor(std::uint32_t i, double alpha) {
+  AURV_CHECK_MSG(i >= 1 && i <= kMaxCowWalkIndex, "planar_cow_walk: index out of range");
+  legs_ = 3 * std::size_t{i};
+  rungs_ = std::uint64_t{1} << (2 * i);  // 2^(2i) rungs per pass
+  steps_.reserve(legs_ + 4);
+  for (std::uint32_t j = 1; j <= i; ++j) {  // LinearCowWalk(i)
+    const Instruction out_east = go(kEast + alpha, Rational::pow2(j));
+    steps_.push_back(out_east);
+    steps_.push_back(go(kWest + alpha, Rational::pow2(j + 1)));
+    steps_.push_back(out_east);
+  }
+  const Rational step = Rational::dyadic(1, i);  // 1/2^i between rungs
+  const Rational sweep = Rational::pow2(i);      // 2^i back to the start
+  steps_.push_back(go(kNorth + alpha, step));
+  steps_.push_back(go(kSouth + alpha, sweep));
+  steps_.push_back(go(kSouth + alpha, step));
+  steps_.push_back(go(kNorth + alpha, sweep));
+}
 
 namespace {
 
-// Coroutine bodies are wrapped by eager-checking functions below so that
-// argument validation throws at the call site, not at the first next().
+// The cursor is built before the coroutine starts so that argument
+// validation throws at the call site, not at the first next().
 
-// Yielded instructions are bound to named locals before co_yield; see the
-// generator.hpp note on the GCC 12 temporary-destruction bug.
-
-Program linear_cow_walk_impl(std::uint32_t i) {
-  for (std::uint32_t j = 1; j <= i; ++j) {
-    const Instruction out_east = go_east(Rational::pow2(j));
-    const Instruction out_west = go_west(Rational::pow2(j + 1));
-    co_yield out_east;
-    co_yield out_west;
-    co_yield out_east;
-  }
+Program linear_cow_walk_impl(PlanarCowWalkCursor walk) {
+  for (const Instruction& leg : walk.linear_legs()) co_yield leg;
 }
 
-Program planar_cow_walk_impl(std::uint32_t i) {
-  const Rational step = Rational::dyadic(1, i);             // 1/2^i
-  const Rational sweep = Rational::pow2(i);                 // 2^i
-  const std::uint64_t rungs = std::uint64_t{1} << (2 * i);  // 2^(2i)
-
-  for (const Instruction& instruction : linear_cow_walk_impl(i)) co_yield instruction;
-  for (int pass = 1; pass <= 2; ++pass) {
-    const Instruction rung_step = pass == 1 ? go_north(step) : go_south(step);
-    for (std::uint64_t k = 0; k < rungs; ++k) {
-      co_yield rung_step;
-      for (const Instruction& instruction : linear_cow_walk_impl(i)) co_yield instruction;
-    }
-    const Instruction return_sweep = pass == 1 ? go_south(sweep) : go_north(sweep);
-    co_yield return_sweep;
-  }
+Program planar_cow_walk_impl(PlanarCowWalkCursor walk) {
+  while (const Instruction* step = walk.next()) co_yield *step;
 }
 
 }  // namespace
 
 Program linear_cow_walk(std::uint32_t i) {
   AURV_CHECK_MSG(i >= 1 && i <= kMaxCowWalkIndex, "linear_cow_walk: index out of range");
-  return linear_cow_walk_impl(i);
+  return linear_cow_walk_impl(PlanarCowWalkCursor(i, 0.0));
 }
 
 Program planar_cow_walk(std::uint32_t i) {
-  AURV_CHECK_MSG(i >= 1 && i <= kMaxCowWalkIndex, "planar_cow_walk: index out of range");
-  return planar_cow_walk_impl(i);
+  return planar_cow_walk_impl(PlanarCowWalkCursor(i, 0.0));
 }
 
 Rational linear_cow_walk_duration(std::uint32_t i) {

@@ -14,7 +14,8 @@ Program wait_and_search() {
     AURV_CHECK_MSG(i <= kMaxCowWalkIndex, "wait_and_search: phase index overflow");
     const Instruction pause = program::wait(wait_and_search_pause(i));
     co_yield pause;
-    for (const Instruction& instruction : planar_cow_walk(i)) co_yield instruction;
+    PlanarCowWalkCursor walk(i, 0.0);
+    while (const Instruction* step = walk.next()) co_yield *step;
   }
 }
 

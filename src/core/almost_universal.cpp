@@ -21,27 +21,19 @@ using program::Program;
 
 namespace {
 
-// Instruction-count guard for the materialized pieces of blocks 2 and 4.
-// The prefix of Latecomers/CGKK of local duration 2^i has O(4^i) short
-// instructions; phases reachable within any simulator fuel budget stay far
-// below this cap.
+// Instruction-count guard for the materialized blocks 2 and 4. The prefix
+// of Latecomers/CGKK of local duration 2^i has O(4^i) short instructions
+// (block 1's O(i 8^i) and block 3's cow walks stream from a cursor and are
+// never materialized by the program); phases reachable within any
+// simulator fuel budget stay far below this cap.
 constexpr std::size_t kMaterializeCap = 200'000'000;
 
-std::vector<Instruction> block1(std::uint32_t i) {
-  std::vector<Instruction> result;
-  const std::uint64_t epochs = std::uint64_t{1} << (i + 1);  // 2^(i+1)
-  for (std::uint64_t j = 1; j <= epochs; ++j) {
-    // PlanarCowWalk(i) "in the coordinate system Rot(j*pi/2^i)".
-    const double alpha = geom::dyadic_angle(static_cast<std::int64_t>(j), i);
-    for (const Instruction& instruction : algo::planar_cow_walk(i)) {
-      if (const auto* move = std::get_if<program::Go>(&instruction)) {
-        result.push_back(Instruction{program::Go{move->heading + alpha, move->distance}});
-      } else {
-        result.push_back(instruction);
-      }
-    }
-  }
-  return result;
+// Block 1 runs 2^(i+1) walks; walk j is PlanarCowWalk(i) "in the
+// coordinate system Rot(j*pi/2^i)" (line 6).
+std::uint64_t block1_walks(std::uint32_t i) { return std::uint64_t{1} << (i + 1); }
+
+algo::PlanarCowWalkCursor block1_walk(std::uint32_t i, std::uint64_t j) {
+  return {i, geom::dyadic_angle(static_cast<std::int64_t>(j), i)};
 }
 
 std::vector<Instruction> block2(std::uint32_t i) {
@@ -55,15 +47,6 @@ std::vector<Instruction> block2(std::uint32_t i) {
                 std::make_move_iterator(prefix.end()));
   result.insert(result.end(), std::make_move_iterator(back.begin()),
                 std::make_move_iterator(back.end()));
-  return result;
-}
-
-std::vector<Instruction> block3(std::uint32_t i) {
-  std::vector<Instruction> result;
-  result.push_back(program::wait(algo::wait_and_search_pause(i)));  // line 14: 2^(15 i^2)
-  for (const Instruction& instruction : algo::planar_cow_walk(i)) { // line 15
-    result.push_back(instruction);
-  }
   return result;
 }
 
@@ -81,17 +64,32 @@ std::vector<Instruction> block4(std::uint32_t i) {
   return result;
 }
 
-}  // namespace
-
-namespace {
-
+// Blocks 1 and 3 stream straight from cow-walk cursors; blocks 2 and 4 are
+// materialized one block at a time (block 4's backtrack needs its forward
+// path anyway).
 Program almost_universal_rv_impl(unsigned block_mask) {
+  const auto runs = [block_mask](int block) { return (block_mask & (1u << (block - 1))) != 0; };
   for (std::uint32_t i = 1;; ++i) {
     AURV_CHECK_MSG(i <= algo::kMaxCowWalkIndex, "almost_universal_rv: phase index overflow");
-    for (int block = 1; block <= 4; ++block) {
-      if ((block_mask & (1u << (block - 1))) == 0) continue;
-      const std::vector<Instruction> instructions = aurv_phase_block(i, block);
-      for (const Instruction& instruction : instructions) co_yield instruction;
+    if (runs(1)) {
+      for (std::uint64_t j = 1; j <= block1_walks(i); ++j) {
+        algo::PlanarCowWalkCursor walk = block1_walk(i, j);
+        while (const Instruction* step = walk.next()) co_yield *step;
+      }
+    }
+    if (runs(2)) {
+      const std::vector<Instruction> block = block2(i);
+      for (const Instruction& instruction : block) co_yield instruction;
+    }
+    if (runs(3)) {
+      const Instruction pause = program::wait(algo::wait_and_search_pause(i));  // line 14
+      co_yield pause;
+      algo::PlanarCowWalkCursor walk(i, 0.0);                                    // line 15
+      while (const Instruction* step = walk.next()) co_yield *step;
+    }
+    if (runs(4)) {
+      const std::vector<Instruction> block = block4(i);
+      for (const Instruction& instruction : block) co_yield instruction;
     }
   }
 }
@@ -109,14 +107,25 @@ Program almost_universal_rv_blocks(unsigned block_mask) {
 std::vector<Instruction> aurv_phase_block(std::uint32_t phase, int block) {
   AURV_CHECK_MSG(phase >= 1 && phase <= algo::kMaxCowWalkIndex,
                  "aurv_phase_block: phase out of range");
+  std::vector<Instruction> result;
   switch (block) {
-    case 1: return block1(phase);
+    case 1:
+      for (std::uint64_t j = 1; j <= block1_walks(phase); ++j) {
+        algo::PlanarCowWalkCursor walk = block1_walk(phase, j);
+        while (const Instruction* step = walk.next()) result.push_back(*step);
+      }
+      return result;
     case 2: return block2(phase);
-    case 3: return block3(phase);
+    case 3: {
+      result.push_back(program::wait(algo::wait_and_search_pause(phase)));
+      algo::PlanarCowWalkCursor walk(phase, 0.0);
+      while (const Instruction* step = walk.next()) result.push_back(*step);
+      return result;
+    }
     case 4: return block4(phase);
     default: AURV_CHECK_MSG(false, "aurv_phase_block: block must be 1..4");
   }
-  return {};
+  return result;
 }
 
 Rational aurv_block_duration(std::uint32_t phase, int block) {

@@ -15,6 +15,12 @@
 // agent is seen" rule of line 1 is the simulator's freeze-on-sight
 // semantics, not part of the program itself.
 //
+// The program is one coroutine over the phases. Blocks 1 and 3 — nearly
+// all of its instructions, O(i 8^i) per phase — stream from
+// algo::PlanarCowWalkCursor without being materialized; blocks 2 and 4
+// (O(2^i) and O(4^i) instructions) are materialized one block at a time,
+// because block 4's backtrack needs its forward path anyway.
+//
 // AlmostUniversalRV takes no input: it is the single universal algorithm of
 // Theorem 3.2. Helpers below expose per-phase/per-block sub-programs for
 // the figure experiments and tests.
@@ -39,7 +45,8 @@ namespace aurv::core {
 [[nodiscard]] program::Program almost_universal_rv_blocks(unsigned block_mask);
 
 /// Blocks of one phase, materialized — the exact instructions an agent
-/// executes during phase i's block (1-based block index, 1..4).
+/// executes during phase i's block (1-based block index, 1..4). Block 1 of
+/// phase i has about 4 * 8^i * (3i + 1) instructions (213,440 at i = 4).
 [[nodiscard]] std::vector<program::Instruction> aurv_phase_block(std::uint32_t phase,
                                                                  int block);
 

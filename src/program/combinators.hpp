@@ -2,8 +2,6 @@
 // transcriptions of the structural operations Algorithm 1 performs on its
 // sub-procedures:
 //
-//   rotated      — execute a program "in the coordinate system Rot(alpha)"
-//                  (Alg. 1 line 6): every heading is offset by alpha.
 //   take_duration— "execute P during time D" (lines 10, 17): the exact
 //                  prefix of local duration D, splitting the instruction
 //                  that straddles the boundary.
@@ -13,7 +11,10 @@
 //   segmented_with_waits — line 18's S_1 wait S_2 wait ... : re-cut a solo
 //                  trajectory into segments of exact local duration,
 //                  inserting a wait after each segment.
-//   replay / concat — plumbing to compose materialized and lazy pieces.
+//   replay       — plumbing to stream a materialized piece.
+//
+// Rot(alpha) (Alg. 1 line 6) is not a combinator: the cow-walk cursor
+// (algo/cow_walk.hpp) builds its instructions already rotated.
 #pragma once
 
 #include <vector>
@@ -22,13 +23,6 @@
 #include "program/instruction.hpp"
 
 namespace aurv::program {
-
-/// Heading-offset view of a program (local system Rot(alpha)).
-[[nodiscard]] Program rotated(Program inner, double alpha);
-
-/// Rotates headings of a materialized instruction sequence.
-[[nodiscard]] std::vector<Instruction> rotated(std::vector<Instruction> instructions,
-                                               double alpha);
 
 /// Consumes `source` and returns its prefix of exactly `duration` local time
 /// units, splitting the final instruction proportionally if needed. If the
@@ -56,9 +50,6 @@ namespace aurv::program {
 
 /// A program that yields a materialized sequence.
 [[nodiscard]] Program replay(std::vector<Instruction> instructions);
-
-/// first, then second.
-[[nodiscard]] Program concat(Program first, Program second);
 
 /// Net local displacement (double precision) of a finite instruction
 /// sequence — used by tests for the paper's Lemma 3.1 "every block returns

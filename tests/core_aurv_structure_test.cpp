@@ -1,14 +1,21 @@
 // Structural tests of Algorithm 1 (AlmostUniversalRV): block composition,
-// the Lemma 3.1 return-to-start invariant, and the closed-form phase
-// durations used by the phase-index reporting.
+// the Lemma 3.1 return-to-start invariant, the closed-form phase
+// durations used by the phase-index reporting, and the twin test that
+// pins every cow-walk program to a literal transcription of the paper's
+// loops.
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
+#include <string>
 #include <vector>
 
+#include "algo/cgkk.hpp"
 #include "algo/cow_walk.hpp"
 #include "algo/wait_and_search.hpp"
 #include "core/almost_universal.hpp"
 #include "core/feasibility.hpp"
+#include "geom/angle.hpp"
 #include "program/combinators.hpp"
 
 namespace aurv::core {
@@ -161,6 +168,150 @@ TEST(AurvStructure, RecommendedAlgorithmDispatch) {
   const Instance covered = Instance::synchronous(1.0, Vec2{3.0, 4.0}, 0.0, 5, 1);
   auto p2 = recommended_algorithm(covered)();
   for (int k = 0; k < 100; ++k) ASSERT_TRUE(p2.next());
+}
+
+// -- twin test --------------------------------------------------------------
+// The library streams Algorithms 2 and 3 from a closed-form cursor. The
+// reference below is the paper's nested loops written out into a vector,
+// with Rot(alpha) applied as heading + alpha, and is capped at `limit`
+// instructions so that deep phases are never built past the compared
+// prefix.
+
+struct Reference {
+  std::size_t limit;
+  std::vector<Instruction> out;
+
+  [[nodiscard]] bool full() const { return out.size() >= limit; }
+
+  void emit(const Instruction& instruction, double alpha) {
+    if (full()) return;
+    if (const auto* move = std::get_if<program::Go>(&instruction)) {
+      out.push_back(Instruction{program::Go{move->heading + alpha, move->distance}});
+    } else {
+      out.push_back(instruction);
+    }
+  }
+
+  void append(const std::vector<Instruction>& block) {
+    for (const Instruction& instruction : block) emit(instruction, 0.0);
+  }
+
+  // Algorithm 3.
+  void linear_cow_walk(std::uint32_t i, double alpha) {
+    for (std::uint32_t j = 1; j <= i; ++j) {
+      emit(program::go_east(Rational::pow2(j)), alpha);
+      emit(program::go_west(Rational::pow2(j + 1)), alpha);
+      emit(program::go_east(Rational::pow2(j)), alpha);
+    }
+  }
+
+  // Algorithm 2.
+  void planar_cow_walk(std::uint32_t i, double alpha) {
+    linear_cow_walk(i, alpha);
+    for (std::uint64_t k = 1; k <= (std::uint64_t{1} << (2 * i)) && !full(); ++k) {
+      emit(program::go_north(Rational::dyadic(1, i)), alpha);
+      linear_cow_walk(i, alpha);
+    }
+    emit(program::go_south(Rational::pow2(i)), alpha);
+    for (std::uint64_t k = 1; k <= (std::uint64_t{1} << (2 * i)) && !full(); ++k) {
+      emit(program::go_south(Rational::dyadic(1, i)), alpha);
+      linear_cow_walk(i, alpha);
+    }
+    emit(program::go_north(Rational::pow2(i)), alpha);
+  }
+
+  // Algorithm 1, blocks selected by `mask` (bit b-1 = block b).
+  void almost_universal_rv(unsigned mask) {
+    for (std::uint32_t i = 1; !full(); ++i) {
+      if ((mask & 1u) != 0) {
+        for (std::uint64_t j = 1; j <= (std::uint64_t{1} << (i + 1)) && !full(); ++j) {
+          planar_cow_walk(i, geom::dyadic_angle(static_cast<std::int64_t>(j), i));
+        }
+      }
+      if ((mask & 2u) != 0 && !full()) append(aurv_phase_block(i, 2));
+      if ((mask & 4u) != 0) {
+        emit(program::wait(Rational::pow2(15ULL * i * i)), 0.0);
+        planar_cow_walk(i, 0.0);
+      }
+      if ((mask & 8u) != 0 && !full()) append(aurv_phase_block(i, 4));
+    }
+  }
+};
+
+// operator== on every instruction, plus the heading's bit pattern (which
+// operator== on doubles would let differ in the sign of a zero).
+void expect_twin(program::Program& program, const std::vector<Instruction>& expected,
+                 const std::string& what) {
+  for (std::size_t k = 0; k < expected.size(); ++k) {
+    ASSERT_TRUE(program.next()) << what << " ended at instruction " << k;
+    const Instruction& got = program.value();
+    ASSERT_EQ(got, expected[k]) << what << " instruction " << k << ": "
+                                << program::to_string(got) << " vs "
+                                << program::to_string(expected[k]);
+    if (const auto* move = std::get_if<program::Go>(&got)) {
+      ASSERT_EQ(std::bit_cast<std::uint64_t>(move->heading),
+                std::bit_cast<std::uint64_t>(std::get<program::Go>(expected[k]).heading))
+          << what << " instruction " << k;
+    }
+  }
+}
+
+// Past the 213,440 instructions of phase 4's block 1, which starts near
+// instruction 25k of the full program.
+constexpr std::size_t kTwinReach = 250'000;
+
+TEST(AurvTwin, AlmostUniversalRvMatchesPaperLoops) {
+  for (unsigned mask = 1; mask <= 0b1111u; ++mask) {
+    Reference ref{kTwinReach, {}};
+    ref.almost_universal_rv(mask);
+    ASSERT_EQ(ref.out.size(), kTwinReach);
+    program::Program blocks = almost_universal_rv_blocks(mask);
+    expect_twin(blocks, ref.out, "mask " + std::to_string(mask));
+    if (mask == 0b1111u) {
+      program::Program full = almost_universal_rv();
+      expect_twin(full, ref.out, "almost_universal_rv");
+    }
+  }
+}
+
+TEST(AurvTwin, CowWalksMatchPaperLoops) {
+  for (std::uint32_t i = 1; i <= 6; ++i) {
+    Reference planar{SIZE_MAX, {}};
+    planar.planar_cow_walk(i, 0.0);
+    program::Program walk = algo::planar_cow_walk(i);
+    expect_twin(walk, planar.out, "planar_cow_walk " + std::to_string(i));
+    EXPECT_FALSE(walk.next()) << i;
+
+    Reference linear{SIZE_MAX, {}};
+    linear.linear_cow_walk(i, 0.0);
+    program::Program legs = algo::linear_cow_walk(i);
+    expect_twin(legs, linear.out, "linear_cow_walk " + std::to_string(i));
+    EXPECT_FALSE(legs.next()) << i;
+  }
+}
+
+TEST(AurvTwin, CgkkAndWaitAndSearchMatchPaperLoops) {
+  constexpr std::size_t kReach = 100'000;
+  const auto pause = [](std::uint32_t i) { return program::wait(Rational::pow2(15ULL * i * i)); };
+  Reference cgkk{kReach, {}};
+  Reference extended{kReach, {}};
+  Reference wait_search{kReach, {}};
+  for (std::uint32_t i = 1; !cgkk.full(); ++i) cgkk.planar_cow_walk(i, 0.0);
+  for (std::uint32_t i = 1; !extended.full(); ++i) {
+    extended.planar_cow_walk(i, 0.0);
+    extended.emit(pause(i), 0.0);
+    extended.planar_cow_walk(i, 0.0);
+  }
+  for (std::uint32_t i = 1; !wait_search.full(); ++i) {
+    wait_search.emit(pause(i), 0.0);
+    wait_search.planar_cow_walk(i, 0.0);
+  }
+  program::Program cgkk_stream = algo::cgkk();
+  expect_twin(cgkk_stream, cgkk.out, "cgkk");
+  program::Program extended_stream = algo::cgkk_extended();
+  expect_twin(extended_stream, extended.out, "cgkk_extended");
+  program::Program wait_search_stream = algo::wait_and_search();
+  expect_twin(wait_search_stream, wait_search.out, "wait_and_search");
 }
 
 }  // namespace
