@@ -137,6 +137,13 @@ template <typename Aggregate, typename RunJob>
     end_shard = std::min(end_shard, start_shard + options.max_shards);
 
   support::JsonlSink jsonl(options.jsonl_path, start_shard > 0 ? state.jsonl_bytes : 0);
+  const auto write_checkpoint = [&] {
+    jsonl.flush();
+    const support::trace::Span span("checkpoint", "runner",
+                                    support::trace::Span::Options{.announce = true});
+    support::save_json_atomically(options.checkpoint_path, checkpoint_to_json(state));
+    checkpoints_counter.add();
+  };
 
   struct ShardOutput {
     Aggregate aggregate;
@@ -198,24 +205,12 @@ template <typename Aggregate, typename RunJob>
     jsonl.append(output.jsonl);
     state.completed_shards = shard + 1;
     state.jsonl_bytes = jsonl.bytes();
-    {
-      const auto [lo, hi] = job_range(shard);
-      (void)lo;
-      jobs_done_gauge.set(static_cast<std::int64_t>(hi));
-    }
+    const std::uint64_t jobs_done = job_range(shard).second;
+    jobs_done_gauge.set(static_cast<std::int64_t>(jobs_done));
     if (!options.checkpoint_path.empty() &&
-        ((shard + 1) % options.checkpoint_every == 0 || shard + 1 == total_shards)) {
-      jsonl.flush();
-      const support::trace::Span span("checkpoint", "runner",
-                                      support::trace::Span::Options{.announce = true});
-      support::save_json_atomically(options.checkpoint_path, checkpoint_to_json(state));
-      checkpoints_counter.add();
-    }
-    if (options.progress) {
-      const auto [lo, hi] = job_range(shard);
-      (void)lo;
-      options.progress(hi, total_jobs);
-    }
+        ((shard + 1) % options.checkpoint_every == 0 || shard + 1 == total_shards))
+      write_checkpoint();
+    if (options.progress) options.progress(jobs_done, total_jobs);
   };
 
   if (end_shard > start_shard) {
@@ -230,13 +225,7 @@ template <typename Aggregate, typename RunJob>
   // frontier even when it does not land on a checkpoint_every boundary, so
   // the next invocation resumes from exactly where this one stopped.
   result.complete = state.completed_shards == total_shards;
-  if (!result.complete && !options.checkpoint_path.empty()) {
-    jsonl.flush();
-    const support::trace::Span span("checkpoint", "runner",
-                                    support::trace::Span::Options{.announce = true});
-    support::save_json_atomically(options.checkpoint_path, checkpoint_to_json(state));
-    checkpoints_counter.add();
-  }
+  if (!result.complete && !options.checkpoint_path.empty()) write_checkpoint();
 
   result.aggregate = std::move(state.aggregate);
   const std::uint64_t start_jobs = std::min(total_jobs, start_shard * options.shard_size);

@@ -134,11 +134,10 @@ std::string journal_path(const std::string& checkpoint_path, std::uint64_t gener
 void remove_stale_journals(const std::string& checkpoint_path, const std::string& keep_filename) {
   const std::filesystem::path base(checkpoint_path);
   const std::string prefix = base.filename().string() + ".wave.";
-  const std::string& keep = keep_filename;
   const std::filesystem::path dir =
       base.has_parent_path() ? base.parent_path() : std::filesystem::path(".");
   for (const std::string& name : support::vfs().list_dir(dir.string())) {
-    if (name.rfind(prefix, 0) == 0 && name != keep)
+    if (name.rfind(prefix, 0) == 0 && name != keep_filename)
       support::vfs().remove((dir / name).string());  // best-effort
   }
 }
@@ -250,20 +249,10 @@ void replay_record(SearchState& state, const Json& record,
 std::uint64_t replay_journal(SearchState& state, const std::string& path,
                              const std::vector<std::string>& names, std::size_t dim_count) {
   if (!support::vfs().exists(path)) return 0;
-  const std::string data = support::vfs().read_file(path);
-  std::size_t consumed = 0;
-  while (true) {
-    const std::size_t newline = data.find('\n', consumed);
-    if (newline == std::string::npos) break;  // partial trailing record
-    Json record;
-    try {
-      record = Json::parse(std::string_view(data).substr(consumed, newline - consumed));
-    } catch (const support::JsonError&) {
-      break;  // torn write at the kill point: the durable prefix ends here
-    }
-    // Past this point the record parsed, so a missing or mistyped field is
-    // not a torn write but real corruption — refuse with the same guidance
-    // as the other mismatch paths instead of leaking a bare key error.
+  return support::scan_durable_prefix(path, [&](const Json& record) {
+    // The record parsed, so a missing or mistyped field is not a torn
+    // write but real corruption — refuse with the same guidance as the
+    // other mismatch paths instead of leaking a bare key error.
     try {
       replay_record(state, record, names, dim_count);
     } catch (const support::JsonError& error) {
@@ -271,9 +260,8 @@ std::uint64_t replay_journal(SearchState& state, const std::string& path,
                                   "); journal and checkpoint are out of sync — delete both "
                                   "to start over");
     }
-    consumed = newline + 1;
-  }
-  return consumed;
+    return true;
+  });
 }
 
 /// One line per incumbent improvement: progress counters, the box, the
@@ -341,7 +329,7 @@ std::string incumbent_provenance_record(std::uint64_t wave, const Incumbent& inc
 /// Resume support: the byte length of the stream's prefix covering waves
 /// <= `waves` (the replayed state). Everything past it belongs to waves
 /// the resumed run will re-execute — and re-emit byte-identically. A torn
-/// trailing line is excluded like every other durable-prefix scan.
+/// trailing line is excluded (scan_durable_prefix).
 std::uint64_t provenance_resume_offset(const std::string& path, std::uint64_t waves,
                                        const std::string& fingerprint) {
   if (!support::vfs().exists(path))
@@ -349,33 +337,21 @@ std::uint64_t provenance_resume_offset(const std::string& path, std::uint64_t wa
         "provenance: " + path +
         " is missing; cannot resume --provenance without the original stream (drop "
         "--provenance, or delete the checkpoint to start over)");
-  const std::string data = support::vfs().read_file(path);
-  std::size_t consumed = 0;
   bool saw_header = false;
-  while (true) {
-    const std::size_t newline = data.find('\n', consumed);
-    if (newline == std::string::npos) break;  // partial trailing record
-    Json record;
-    try {
-      record = Json::parse(std::string_view(data).substr(consumed, newline - consumed));
-    } catch (const support::JsonError&) {
-      break;  // torn write at the kill point: the durable prefix ends here
-    }
-    if (!saw_header) {
-      if (record.string_or("kind", "") != "search-provenance")
-        throw std::invalid_argument("provenance: " + path +
-                                    " is not a search-provenance stream; resuming would "
-                                    "truncate the wrong file");
-      if (record.string_or("fingerprint", "") != fingerprint)
-        throw std::invalid_argument(
-            "provenance: " + path +
-            " belongs to a different search (fingerprint mismatch); delete it to start over");
-      saw_header = true;
-    } else if (record.uint_or("wave", 0) > waves) {
-      break;  // first record of a wave the resumed run will re-execute
-    }
-    consumed = newline + 1;
-  }
+  const std::uint64_t consumed =
+      support::scan_durable_prefix(path, [&](const Json& record) {
+        if (saw_header) return record.uint_or("wave", 0) <= waves;  // later waves re-run
+        if (record.string_or("kind", "") != "search-provenance")
+          throw std::invalid_argument("provenance: " + path +
+                                      " is not a search-provenance stream; resuming would "
+                                      "truncate the wrong file");
+        if (record.string_or("fingerprint", "") != fingerprint)
+          throw std::invalid_argument(
+              "provenance: " + path +
+              " belongs to a different search (fingerprint mismatch); delete it to start over");
+        saw_header = true;
+        return true;
+      });
   if (!saw_header)
     throw std::invalid_argument("provenance: " + path +
                                 " has no stream header; resuming would truncate the wrong file");
@@ -529,18 +505,6 @@ BnbResult run_bnb(const ParamBox& root, const Objective& objective, const BnbLim
             .string());
     state.frontier.prune_retired();
     journal_dirty = false;
-  };
-
-  // Opens the current generation's journal on first use. On a resumed
-  // generation the first open truncates the replayed durable prefix's
-  // torn tail (JsonlSink's resume contract); after a compaction the
-  // generation is fresh and starts at zero.
-  const auto journal_sink = [&]() -> support::JsonlSink& {
-    if (!journal.has_value()) {
-      journal.emplace(journal_path(options.checkpoint_path, state.generation), journal_bytes);
-      journal_bytes = 0;
-    }
-    return *journal;
   };
 
   if (checkpointing && !resumed) {
@@ -753,9 +717,16 @@ BnbResult run_bnb(const ParamBox& root, const Objective& objective, const BnbLim
                                   : Json());
       record.set("stats", stats_to_json(state.stats));
       record.set("log_bytes", Json(state.log_bytes));
-      support::JsonlSink& sink = journal_sink();
-      sink.append(record.dump() + "\n");
-      sink.flush();
+      // The generation's journal opens on first use. On a resumed
+      // generation that open truncates the replayed durable prefix's torn
+      // tail (JsonlSink's resume contract); after a compaction the
+      // generation is fresh and starts at zero.
+      if (!journal.has_value()) {
+        journal.emplace(journal_path(options.checkpoint_path, state.generation), journal_bytes);
+        journal_bytes = 0;
+      }
+      journal->append(record.dump() + "\n");
+      journal->flush();
       journal_dirty = true;
       pending_popped = 0;
       if (state.stats.waves % options.checkpoint_every == 0) compact();

@@ -1,6 +1,8 @@
-// Checkpoint plumbing shared by the campaign runner and the search
-// subsystem: an append-mode JSONL sink with checkpoint-resume truncation,
-// and atomic JSON checkpoint writes.
+// The one place that knows how a durable JSONL stream is written and
+// re-read, plus the atomic JSON checkpoint write. Every streamed artifact
+// goes through JsonlSink: campaign and census JSONL, the search incumbent
+// log, wave journals, the provenance stream (via SoftJsonlSink) and the
+// spill deque's segment files.
 //
 // The contract that makes streamed records byte-identical across
 // checkpoint/resume cycles: a checkpoint stores the byte offset of the
@@ -8,11 +10,13 @@
 // that offset (dropping records written after the checkpoint and lost to
 // the interruption) and appends from there. A file *shorter* than the
 // recorded offset means stream and checkpoint are out of sync, which is
-// refused instead of silently padding the hole.
+// refused instead of silently padding the hole. Readers find the durable
+// prefix with scan_durable_prefix(): complete lines that parse, up to the
+// first torn or partial one.
 //
 // All mutating I/O goes through the support::vfs() seam (see vfs.hpp),
-// with a bounded deterministic retry for transient failures: a torn
-// append is rolled back to the sink's durable byte count before the
+// with retry_io's bounded deterministic retry for transient failures: a
+// torn append is rolled back to the sink's durable byte count before the
 // retry, so the rewrite can never duplicate a partial record.
 #pragma once
 
@@ -22,6 +26,7 @@
 #include <memory>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 
 #include "support/json.hpp"
 #include "support/vfs.hpp"
@@ -111,19 +116,15 @@ class JsonlSink {
   /// stream over.
   explicit JsonlSink(const std::string& path, std::uint64_t resume_bytes = 0,
                      RetryPolicy retry = {})
-      : path_(path), retry_(retry) {
+      : retry_(retry) {
     if (path.empty()) return;
     if (resume_bytes > 0) {
-      std::uint64_t existing = 0;
-      bool readable = vfs().exists(path);
-      if (readable) {
-        try {
-          existing = vfs().file_size(path);
-        } catch (const VfsError&) {
-          readable = false;
-        }
+      std::uint64_t existing = 0;  // a missing or unreadable file counts as empty
+      try {
+        if (vfs().exists(path)) existing = vfs().file_size(path);
+      } catch (const VfsError&) {
       }
-      if (!readable || existing < resume_bytes)
+      if (existing < resume_bytes)
         throw std::invalid_argument(
             "jsonl: " + path + " is shorter than the checkpoint's recorded offset (" +
             std::to_string(resume_bytes) +
@@ -134,10 +135,9 @@ class JsonlSink {
         throw std::invalid_argument("jsonl: cannot truncate " + path +
                                     " for resume: " + error.reason());
       }
-      file_ = retry_io(retry_, [&] { return vfs().open_write(path, Vfs::OpenMode::Append); });
-    } else {
-      file_ = retry_io(retry_, [&] { return vfs().open_write(path, Vfs::OpenMode::Truncate); });
     }
+    const Vfs::OpenMode mode = resume_bytes > 0 ? Vfs::OpenMode::Append : Vfs::OpenMode::Truncate;
+    file_ = retry_io(retry_, [&] { return vfs().open_write(path, mode); });
     bytes_ = resume_bytes;
   }
 
@@ -146,12 +146,10 @@ class JsonlSink {
 
   void append(const std::string& text) {
     if (file_ == nullptr) return;
-    for (int attempt = 1;; ++attempt) {
+    retry_io(retry_, [&] {
       try {
         file_->write(text);
-        bytes_ += text.size();
-        return;
-      } catch (const VfsError& error) {
+      } catch (const VfsError&) {
         // Roll back whatever torn prefix reached the file so a retry (or
         // a later resume against the recorded offset) never sees it.
         try {
@@ -161,14 +159,10 @@ class JsonlSink {
           // rests on the resume-side truncation, which uses the recorded
           // offset and is therefore still sound.
         }
-        if (!error.transient() || attempt >= retry_.attempts) throw;
-        const std::uint64_t backoff = retry_.backoff_ms << (attempt - 1);
-        telemetry::registry().counter("vfs.retries").add();
-        telemetry::registry().counter("vfs.backoff_ms").add(backoff);
-        trace::instant("vfs.retry", "vfs");
-        vfs().sleep_for_ms(backoff);
+        throw;
       }
-    }
+      bytes_ += text.size();
+    });
   }
 
   void flush() {
@@ -176,15 +170,48 @@ class JsonlSink {
     retry_io(retry_, [&] { file_->flush(); });
   }
 
+  /// Flushes (with retry) and closes; throws VfsError if either fails.
+  /// Later calls on the closed sink are no-ops.
+  void close() {
+    if (file_ == nullptr) return;
+    flush();
+    file_->close();
+    file_ = nullptr;
+  }
+
   /// Durable-prefix offset to record in checkpoints.
   [[nodiscard]] std::uint64_t bytes() const noexcept { return bytes_; }
 
  private:
-  std::string path_;
   RetryPolicy retry_;
   std::unique_ptr<VfsFile> file_;  ///< closed silently by the destructor
   std::uint64_t bytes_ = 0;
 };
+
+/// Walks the durable prefix of the JSONL stream at `path`: each complete
+/// line that parses, in order, goes to `on_record(const Json&)`, which
+/// returns false to stop before that record. A partial trailing line or an
+/// unparseable one (a torn write at a kill point) ends the prefix. Returns
+/// the byte length of the records consumed — the offset to resume from.
+/// Exceptions thrown by `on_record` propagate.
+template <typename OnRecord>
+std::uint64_t scan_durable_prefix(const std::string& path, OnRecord&& on_record) {
+  const std::string data = vfs().read_file(path);
+  std::size_t consumed = 0;
+  while (true) {
+    const std::size_t newline = data.find('\n', consumed);
+    if (newline == std::string::npos) break;
+    Json record;
+    try {
+      record = Json::parse(std::string_view(data).substr(consumed, newline - consumed));
+    } catch (const JsonError&) {
+      break;
+    }
+    if (!on_record(record)) break;
+    consumed = newline + 1;
+  }
+  return consumed;
+}
 
 /// A fail-soft JsonlSink for observability streams that are deterministic
 /// artifacts *when healthy* but must never fail the run (the search
@@ -200,12 +227,12 @@ class SoftJsonlSink {
 
   SoftJsonlSink(const std::string& path, std::string counter_prefix,
                 std::uint64_t resume_bytes = 0, RetryPolicy retry = {})
-      : counter_prefix_(std::move(counter_prefix)), path_hint_(path) {
+      : counter_prefix_(std::move(counter_prefix)), path_(path) {
     if (path.empty()) return;
     try {
       sink_ = std::make_unique<JsonlSink>(path, resume_bytes, retry);
     } catch (const VfsError& error) {
-      degrade(path, error.reason());
+      degrade(error.reason());
     }
   }
 
@@ -224,7 +251,7 @@ class SoftJsonlSink {
     } catch (const VfsError& error) {
       // JsonlSink already rolled the file back to its durable prefix.
       bytes_at_degrade_ = sink_->bytes();
-      degrade(path_hint_.empty() ? "<provenance>" : path_hint_, error.reason());
+      degrade(error.reason());
       telemetry::registry().counter(counter_prefix_ + ".dropped").add();
     }
   }
@@ -235,7 +262,7 @@ class SoftJsonlSink {
       sink_->flush();
     } catch (const VfsError& error) {
       bytes_at_degrade_ = sink_->bytes();
-      degrade(path_hint_.empty() ? "<provenance>" : path_hint_, error.reason());
+      degrade(error.reason());
     }
   }
 
@@ -245,15 +272,15 @@ class SoftJsonlSink {
   }
 
  private:
-  void degrade(const std::string& path, const std::string& reason) {
+  void degrade(const std::string& reason) {
     sink_.reset();
     degraded_ = true;
     std::fprintf(stderr, "aurv: %s: %s (%s); stream disabled, records dropped\n",
-                 counter_prefix_.c_str(), path.c_str(), reason.c_str());
+                 counter_prefix_.c_str(), path_.c_str(), reason.c_str());
   }
 
   std::string counter_prefix_ = "jsonl";
-  std::string path_hint_;
+  std::string path_;
   std::unique_ptr<JsonlSink> sink_;
   std::uint64_t bytes_at_degrade_ = 0;
   bool degraded_ = false;

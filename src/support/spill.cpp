@@ -2,62 +2,7 @@
 
 #include <stdexcept>
 
-#include "support/telemetry.hpp"
-#include "support/vfs.hpp"
-
 namespace aurv::support {
-
-SpillSegmentWriter::SpillSegmentWriter(std::string path, RetryPolicy retry)
-    : path_(std::move(path)), retry_(retry) {
-  // Truncate: a leftover segment of the same name from a pre-crash run is
-  // overwritten — deterministic replay recreates it byte-identically.
-  file_ = retry_io(retry_, [&] { return vfs().open_write(path_, Vfs::OpenMode::Truncate); });
-}
-
-SpillSegmentWriter::~SpillSegmentWriter() = default;  // VfsFile closes silently
-
-void SpillSegmentWriter::append(const std::string& line) {
-  for (int attempt = 1;; ++attempt) {
-    try {
-      file_->write(line);
-      file_->write("\n");
-      bytes_ += line.size() + 1;
-      ++records_;
-      return;
-    } catch (const VfsError& error) {
-      // A torn record may have reached the file; rewind to the last
-      // record boundary so a retry cannot leave duplicate bytes behind.
-      try {
-        file_->truncate_to(bytes_);
-      } catch (const VfsError&) {
-        // Rewind failed too: give up through the throw below — the
-        // partially-written segment is removed by the caller.
-      }
-      if (!error.transient() || attempt >= retry_.attempts) throw;
-      const std::uint64_t backoff = retry_.backoff_ms << (attempt - 1);
-      telemetry::registry().counter("vfs.retries").add();
-      telemetry::registry().counter("vfs.backoff_ms").add(backoff);
-      vfs().sleep_for_ms(backoff);
-    }
-  }
-}
-
-void SpillSegmentWriter::close() {
-  if (file_ == nullptr) return;
-  // flush() failures may be transient (retried); a failed close is final.
-  retry_io(retry_, [&] { file_->flush(); });
-  file_->close();
-  file_ = nullptr;
-  // Tally only durably closed segments: a writer abandoned mid-fault is
-  // removed by its caller and never becomes a live segment.
-  namespace telemetry = support::telemetry;
-  static telemetry::Counter& segments_counter = telemetry::registry().counter("spill.segments");
-  static telemetry::Counter& records_counter = telemetry::registry().counter("spill.records");
-  static telemetry::Counter& bytes_counter = telemetry::registry().counter("spill.bytes");
-  segments_counter.add();
-  records_counter.add(records_);
-  bytes_counter.add(bytes_);
-}
 
 SpillSegmentReader::SpillSegmentReader(std::string path, std::uint64_t offset,
                                        std::uint64_t remaining)

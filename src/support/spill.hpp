@@ -25,9 +25,14 @@
 // `Codec` maps T to/from support::Json (lossless — segment records and
 // checkpointed hot entries both go through it).
 //
+// Segments are written through a fresh support::JsonlSink each (one
+// `record + "\n"` append per element), so they share the one writer's
+// truncate-open, torn-record rollback and retry_io backoff with every
+// other durable stream; SpillSegmentReader re-reads them.
+//
 // Fault policy: every mutating file operation goes through the
-// support::vfs() seam. Transient failures are absorbed by bounded
-// deterministic retry inside the segment writer; a *persistent* write
+// support::vfs() seam. Transient failures are absorbed by the sink's
+// bounded deterministic retry; a *persistent* write
 // failure (ENOSPC, EIO, read-only directory) does not kill the deque —
 // it **degrades** to in-memory mode: the elements that failed to spill
 // stay in the hot set, no further segments are written, and existing
@@ -54,37 +59,12 @@
 
 #include "support/check.hpp"
 #include "support/json.hpp"
+#include "support/jsonl.hpp"
 #include "support/telemetry.hpp"
 #include "support/trace.hpp"
 #include "support/vfs.hpp"
 
 namespace aurv::support {
-
-/// Writes one sorted run of JSONL records to a fresh segment file
-/// (truncating any leftover of the same name from a pre-crash run).
-/// Transient write failures are retried after rewinding to the last
-/// record boundary; persistent ones propagate as VfsError.
-class SpillSegmentWriter {
- public:
-  explicit SpillSegmentWriter(std::string path, RetryPolicy retry = {});
-  ~SpillSegmentWriter();
-  SpillSegmentWriter(const SpillSegmentWriter&) = delete;
-  SpillSegmentWriter& operator=(const SpillSegmentWriter&) = delete;
-
-  /// `line` is one record without the trailing newline.
-  void append(const std::string& line);
-  [[nodiscard]] std::uint64_t records() const noexcept { return records_; }
-  [[nodiscard]] std::uint64_t bytes() const noexcept { return bytes_; }
-  /// Flushes and closes; throws VfsError if any write failed.
-  void close();
-
- private:
-  std::string path_;
-  RetryPolicy retry_;
-  std::unique_ptr<VfsFile> file_;  ///< closed silently by the destructor
-  std::uint64_t bytes_ = 0;        ///< durable record-boundary offset
-  std::uint64_t records_ = 0;
-};
 
 /// Streams the records of an immutable segment file from a byte offset.
 /// The current record ("head") stays loaded; advance() moves to the next.
@@ -233,12 +213,8 @@ class SpillDeque {
     // loads, keeping the cap honest even during the restore itself.
     for (const Json& entry : json.at("hot").as_array()) deque.insert(Codec::from_json(entry));
     for (const Json& entry : json.at("segments").as_array()) {
-      Segment segment{SpillSegmentReader(entry.at("path").as_string(),
-                                         entry.at("offset").as_uint(),
-                                         entry.at("remaining").as_uint()),
-                      std::nullopt};
-      if (!segment.reader.done())
-        segment.head = Codec::from_json(Json::parse(segment.reader.head()));
+      Segment segment = open_segment(entry.at("path").as_string(), entry.at("offset").as_uint(),
+                                     entry.at("remaining").as_uint());
       if (segment.head.has_value()) deque.segments_.push_back(std::move(segment));
     }
     // A kill between the owner's checkpoint write and its prune_retired()
@@ -326,6 +302,15 @@ class SpillDeque {
         .string();
   }
 
+  /// A segment positioned at `offset` with its head decoded (no head when
+  /// `remaining` is 0).
+  [[nodiscard]] static Segment open_segment(std::string path, std::uint64_t offset,
+                                            std::uint64_t remaining) {
+    Segment segment{SpillSegmentReader(std::move(path), offset, remaining), std::nullopt};
+    if (!segment.reader.done()) segment.head = Codec::from_json(Json::parse(segment.reader.head()));
+    return segment;
+  }
+
   [[nodiscard]] const Segment* best_segment() const {
     const Segment* best = nullptr;
     for (const Segment& segment : segments_)
@@ -373,6 +358,39 @@ class SpillDeque {
                    /*transient=*/false);
   }
 
+  /// Writes the next segment file through a fresh JsonlSink (which
+  /// truncates a pre-crash leftover of the same name): `fill(sink)`
+  /// appends the records, one `line + "\n"` each, and returns how many.
+  /// Returns the new segment, or nullopt after a persistent write failure
+  /// — the partial file is removed and the deque degrades.
+  template <typename Fill>
+  std::optional<Segment> write_segment(trace::Span& span, Fill&& fill) {
+    const std::string path = segment_path(seq_++);
+    std::uint64_t count = 0;
+    std::uint64_t bytes = 0;
+    try {
+      JsonlSink writer(path);
+      count = fill(writer);
+      writer.close();
+      bytes = writer.bytes();
+    } catch (const VfsError& error) {
+      vfs().remove(path);
+      degrade(error.what());
+      return std::nullopt;
+    }
+    // Tally only durably closed segments.
+    telemetry::Registry& metrics = telemetry::registry();
+    metrics.counter("spill.segments").add();
+    metrics.counter("spill.records").add(count);
+    metrics.counter("spill.bytes").add(bytes);
+    if (span.armed()) {
+      Json args = Json::object();
+      args.set("records", Json(count));
+      span.set_args(std::move(args));
+    }
+    return open_segment(path, 0, count);
+  }
+
   /// Moves the worst half of the hot set, in sorted order, into a fresh
   /// segment file. A persistent write failure degrades the deque instead
   /// of propagating: the unspilled elements simply stay hot (the pop
@@ -383,35 +401,22 @@ class SpillDeque {
       return;
     }
     trace::Span span("spill.segment", "spill", trace::Span::Options{.announce = true});
-    const std::size_t keep = config_.mem_capacity / 2;
     auto first_cold = hot_.begin();
-    std::advance(first_cold, keep);
-    const std::string path = segment_path(seq_++);
-    std::uint64_t count = 0;
-    try {
-      SpillSegmentWriter writer(path);
-      for (auto it = first_cold; it != hot_.end(); ++it)
-        writer.append(Codec::to_json(*it).dump());
-      writer.close();
-      count = writer.records();
-    } catch (const VfsError& error) {
-      // Nothing was erased from hot_ yet, so the failed segment can be
-      // dropped wholesale and the elements served from memory.
-      vfs().remove(path);
-      degrade(error.what());
+    std::advance(first_cold, config_.mem_capacity / 2);
+    std::optional<Segment> segment = write_segment(span, [&](JsonlSink& writer) {
+      std::uint64_t count = 0;
+      for (auto it = first_cold; it != hot_.end(); ++it, ++count)
+        writer.append(Codec::to_json(*it).dump() + "\n");
+      return count;
+    });
+    if (!segment.has_value()) {
+      // Nothing was erased from hot_, so the elements are served from memory.
       enforce_degraded_cap();
       return;
     }
-    spilled_ += count;
-    if (span.armed()) {
-      Json args = Json::object();
-      args.set("records", Json(count));
-      span.set_args(std::move(args));
-    }
+    spilled_ += segment->reader.remaining();
     hot_.erase(first_cold, hot_.end());
-    Segment segment{SpillSegmentReader(path, 0, count), std::nullopt};
-    segment.head = Codec::from_json(Json::parse(segment.reader.head()));
-    segments_.push_back(std::move(segment));
+    segments_.push_back(std::move(*segment));
     if (segments_.size() > config_.max_segments) merge_segments();
   }
 
@@ -425,52 +430,33 @@ class SpillDeque {
   void merge_segments() {
     if (segments_.size() <= 1) return;
     trace::Span span("spill.merge", "spill", trace::Span::Options{.announce = true});
-    struct Scratch {
-      SpillSegmentReader reader;
-      T head;
-    };
-    std::vector<Scratch> scratch;
+    std::vector<Segment> scratch;
     scratch.reserve(segments_.size());
     for (const Segment& segment : segments_)
-      scratch.push_back(Scratch{SpillSegmentReader(segment.reader.path(),
-                                                   segment.reader.offset(),
-                                                   segment.reader.remaining()),
-                                *segment.head});
-    const std::string path = segment_path(seq_++);
-    std::uint64_t count = 0;
-    try {
-      SpillSegmentWriter writer(path);
-      std::size_t open = scratch.size();
-      while (open > 0) {
-        Scratch* best = nullptr;
-        for (Scratch& s : scratch)
-          if (!s.reader.done() && (best == nullptr || less_(s.head, best->head))) best = &s;
-        writer.append(best->reader.head());
+      scratch.push_back(open_segment(segment.reader.path(), segment.reader.offset(),
+                                     segment.reader.remaining()));
+    std::optional<Segment> merged = write_segment(span, [&](JsonlSink& writer) {
+      std::uint64_t count = 0;
+      for (std::size_t open = scratch.size(); open > 0; ++count) {
+        Segment* best = nullptr;
+        for (Segment& s : scratch)
+          if (!s.reader.done() && (best == nullptr || less_(*s.head, *best->head))) best = &s;
+        writer.append(best->reader.head() + "\n");
         best->reader.advance();
         if (best->reader.done())
           --open;
         else
           best->head = Codec::from_json(Json::parse(best->reader.head()));
       }
-      writer.close();
-      count = writer.records();
-    } catch (const VfsError& error) {
-      vfs().remove(path);
-      degrade(error.what());
-      return;
-    }
-    AURV_CHECK_MSG(count > 0, "SpillDeque: merged zero records from nonempty segments");
+      return count;
+    });
+    if (!merged.has_value()) return;
+    AURV_CHECK_MSG(!merged->reader.done(),
+                   "SpillDeque: merged zero records from nonempty segments");
     telemetry::registry().counter("spill.merges").add();
-    if (span.armed()) {
-      Json args = Json::object();
-      args.set("records", Json(count));
-      span.set_args(std::move(args));
-    }
     for (Segment& segment : segments_) retired_.push_back(segment.reader.path());
     segments_.clear();
-    Segment merged{SpillSegmentReader(path, 0, count), std::nullopt};
-    merged.head = Codec::from_json(Json::parse(merged.reader.head()));
-    segments_.push_back(std::move(merged));
+    segments_.push_back(std::move(*merged));
   }
 
   Config config_;

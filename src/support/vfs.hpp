@@ -1,9 +1,10 @@
 // The file-I/O seam of the persistence layer.
 //
-// Everything that makes state durable — spill segments, JSONL sinks,
-// checkpoint bases and wave journals — performs its mutating I/O through
-// the process-current `Vfs` instead of calling the C/std::filesystem
-// APIs directly. In production the seam is `real_vfs()`, a thin
+// Everything that makes state durable — checkpoint bases and the JSONL
+// streams (output, incumbent logs, wave journals, provenance, spill
+// segments), all written by the one writer, JsonlSink in jsonl.hpp, with
+// `retry_io` below as its retry loop — performs its mutating I/O through
+// the process-current `Vfs`. In production the seam is `real_vfs()`, a thin
 // passthrough. In tests it can be swapped (ScopedVfs) for a `FaultVfs`
 // that injects *scripted, deterministic* failures: fail the Nth write,
 // persist only a torn prefix, report ENOSPC, fail a flush with EIO, fail

@@ -2,12 +2,13 @@
 // trace and script failures exactly as advertised; the retry layer must
 // absorb transient faults with a deterministic backoff schedule and
 // nothing else; and the persistence primitives built on the seam
-// (JsonlSink, save_json_atomically, SpillSegmentWriter, SpillDeque) must
+// (JsonlSink, save_json_atomically, SpillDeque) must
 // recover from torn writes, keep atomic checkpoints atomic, and degrade
 // the spill store gracefully — producing byte-identical artifacts
 // throughout.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <filesystem>
 #include <string>
@@ -16,6 +17,8 @@
 #include "test_paths.hpp"
 #include "support/jsonl.hpp"
 #include "support/spill.hpp"
+#include "support/telemetry.hpp"
+#include "support/trace.hpp"
 #include "support/vfs.hpp"
 
 namespace aurv::support {
@@ -323,33 +326,6 @@ TEST(Vfs, AtomicSaveNeverLeavesATornCheckpointBehind) {
   EXPECT_EQ(slurp(path), before);  // live checkpoint untouched by the torn tmp
 }
 
-// ------------------------------------- SpillSegmentWriter under faults --
-
-TEST(Vfs, SegmentWriterRecoversTornRecordsAtRecordBoundaries) {
-  const std::string clean_path = temp_path("seg_clean.jsonl");
-  {
-    SpillSegmentWriter clean(clean_path);
-    clean.append("{\"record\":1}");
-    clean.append("{\"record\":2}");
-    clean.close();
-  }
-
-  const std::string faulted_path = temp_path("seg_faulted.jsonl");
-  FaultSchedule schedule;
-  // Tear the first write of record 2 (ops: open, r1, \n, r2...).
-  schedule.faults.push_back(fault(3, faulted_path, FaultClass::ShortWrite));
-  FaultVfs faulty(schedule);
-  {
-    ScopedVfs guard(faulty);
-    SpillSegmentWriter writer(faulted_path);
-    writer.append("{\"record\":1}");
-    writer.append("{\"record\":2}");
-    writer.close();
-    EXPECT_EQ(writer.records(), 2u);
-  }
-  EXPECT_EQ(slurp(faulted_path), slurp(clean_path));
-}
-
 // --------------------------------------- SpillDeque graceful degradation --
 
 std::vector<std::string> pop_all_tags(auto& deque) {
@@ -386,6 +362,49 @@ std::vector<Item> some_items(std::size_t count) {
   for (std::size_t k = 0; k < count; ++k)
     items.push_back(Item{static_cast<double>((k * 7919) % 101), "tag" + std::to_string(k)});
   return items;
+}
+
+// Segments are written by the one durable-stream writer (JsonlSink): a
+// torn segment record is rolled back to the last record boundary and
+// retried through retry_io — same segment bytes, same pops, no
+// degradation, and the retry is visible as a counter and a trace instant.
+TEST(Vfs, SegmentWriterRecoversTornRecordsAtRecordBoundaries) {
+  const std::vector<Item> items = some_items(40);
+  ItemDeque::Config config;
+  config.mem_capacity = 4;
+
+  config.spill_dir = fresh_dir("vfs_seg_clean");
+  ItemDeque clean(config);
+  for (const Item& item : items) clean.insert(item);
+  const std::string clean_segment = slurp(config.spill_dir + "/seg-0.jsonl");
+  const std::vector<std::string> expected = pop_all_tags(clean);
+
+  telemetry::Counter& retries = telemetry::registry().counter("vfs.retries");
+  const std::uint64_t retries_before = retries.value();
+  ASSERT_TRUE(trace::sink().open(temp_path("vfs_seg_trace.json")));
+  config.spill_dir = fresh_dir("vfs_seg_faulted");
+  FaultSchedule schedule;
+  // Tear the second record of the first segment (ops: open, r1, r2...).
+  schedule.faults.push_back(fault(2, "seg-", FaultClass::ShortWrite));
+  FaultVfs faulty(schedule);
+  std::vector<std::string> popped;
+  {
+    ScopedVfs guard(faulty);
+    ItemDeque deque(config);
+    for (const Item& item : items) deque.insert(item);
+    EXPECT_EQ(slurp(config.spill_dir + "/seg-0.jsonl"), clean_segment);
+    EXPECT_FALSE(deque.degraded());
+    popped = pop_all_tags(deque);
+  }
+  const std::vector<std::string> events = trace::sink().recent(1024);
+  trace::sink().close();
+
+  EXPECT_EQ(popped, expected);
+  EXPECT_GT(retries.value(), retries_before);
+  EXPECT_GT(faulty.backoff_recorded_ms(), 0u);
+  EXPECT_TRUE(std::any_of(events.begin(), events.end(), [](const std::string& line) {
+    return line.find("\"name\":\"vfs.retry\"") != std::string::npos;
+  }));
 }
 
 TEST(Vfs, SpillDequeDegradesToInMemoryOnAFullDiskWithIdenticalPops) {
